@@ -9,16 +9,17 @@ the cut-generation pass needs track identity; the rectangle is derived.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .errors import DuplicatePin, MissingVia, NonRectilinear, UnknownWire
+from .errors import DuplicatePin, MissingVia, NonRectilinear, UnknownLayer, UnknownWire
 from .geometry import Point, Rect, Transform, bbox_of
 from .grid import PlacementGrid, RoutingGrid
 from .template import VirtualInstance
 
 if TYPE_CHECKING:
-    from .tech import TechDB
+    from .tech import LayerDef, TechDB
 
 
 @dataclass
@@ -306,26 +307,35 @@ def _cut_suppressed(a: Rect, b: Rect, cuts: list[Rect]) -> bool:
     return False
 
 
-def check_spacing(d: Design, layer: str) -> list[Violation]:
-    """Exhaustive same-layer spacing scan.
+def _shape_index(d: Design) -> tuple[dict[str, list[Rect]], dict[str, list[Rect]]]:
+    """Bucket the flattened design by layer in one iter_flat pass.
 
-    Shapes that touch or overlap are fabricated as one aggregated pattern and
-    are merged before checking, so only gaps between disjoint patterns count.
-    A gap smaller than min_spacing is reported unless a cut shape on the
-    layer's cut layer bisects it. Pin-purpose shapes are label overlays of
-    their wires and are skipped. Diagonal gaps compare the exact Euclidean
-    distance in integers.
+    Returns the spacing shapes per layer (pin-purpose label overlays left
+    out) and the cut-purpose shapes per layer, both in iter_flat order. A
+    shape on a layer the technology does not define raises UnknownLayer.
     """
-    rule = d.tech.layer(layer)
-    shapes = [r for r, _ in d.iter_flat() if r.layer == layer and r.purpose != "pin"]
-    cuts = []
-    if rule.cut is not None:
-        cuts = [
-            r for r, _ in d.iter_flat()
-            if r.layer == rule.cut.cut_layer and r.purpose == "cut"
-        ]
+    shapes: dict[str, list[Rect]] = {name: [] for name in d.tech.layers}
+    cuts: dict[str, list[Rect]] = {name: [] for name in d.tech.layers}
+    for r, _ in d.iter_flat():
+        bucket = shapes.get(r.layer)
+        if bucket is None:
+            raise UnknownLayer(f"{d.tech.name} has no layer {r.layer!r}")
+        if r.purpose == "cut":
+            cuts[r.layer].append(r)
+        if r.purpose != "pin":
+            bucket.append(r)
+    return shapes, cuts
 
+
+def _check_layer(
+    rule: "LayerDef", shapes_by_layer: dict[str, list[Rect]], cuts_by_layer: dict[str, list[Rect]]
+) -> list[Violation]:
+    shapes = shapes_by_layer[rule.name]
+    cuts = cuts_by_layer[rule.cut.cut_layer] if rule.cut is not None else []
+    s = rule.min_spacing
+    s_sq = s * s
     n = len(shapes)
+    boxes = [(r.lo.x, r.lo.y, r.hi.x, r.hi.y) for r in shapes]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -334,37 +344,72 @@ def check_spacing(d: Design, layer: str) -> list[Violation]:
             i = parent[i]
         return i
 
-    pair_gap: dict[tuple[int, int], tuple[int, int, int]] = {}
-    s = rule.min_spacing
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx, dy = _gaps(shapes[i], shapes[j])
+    # Sweep on lo.x. Every active shape starts at or left of the current
+    # one, so the x gap is lo.x - hi.x of the active shape, and a shape whose
+    # hi.x is s or more to the left can neither touch nor crowd any later one.
+    near: list[tuple[int, int, int]] = []   # (gap_sq, i, j) with i < j
+    active: dict[int, tuple[int, int, int]] = {}   # index -> (lo.y, hi.x, hi.y)
+    expiry: list[tuple[int, int]] = []      # heap of (hi.x, index)
+    for j in sorted(range(n), key=lambda k: boxes[k][0]):
+        lx, ly, hx, hy = boxes[j]
+        reach = lx - s
+        while expiry and expiry[0][0] <= reach:
+            del active[heapq.heappop(expiry)[1]]
+        for i, (aly, ahx, ahy) in active.items():
+            dy = max(aly - hy, ly - ahy, 0)
+            if dy >= s:
+                continue
+            dx = lx - ahx if lx > ahx else 0
             if dx == 0 and dy == 0:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
-            elif dx * dx + dy * dy < s * s:
-                pair_gap[(i, j)] = (dx * dx + dy * dy, i, j)
+            else:
+                gap_sq = dx * dx + dy * dy
+                if gap_sq < s_sq:
+                    near.append((gap_sq, i, j) if i < j else (gap_sq, j, i))
+        active[j] = (ly, hx, hy)
+        heapq.heappush(expiry, (hx, j))
 
-    # Report the closest offending pair per pattern pair.
+    # Report the closest offending pair per pattern pair; ties go to the
+    # smallest (i, j).
     best: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for (i, j), entry in pair_gap.items():
-        key = tuple(sorted((find(i), find(j))))
-        if key[0] == key[1]:
-            continue  # became connected through other shapes
-        if key not in best or entry[0] < best[key][0]:
+    for entry in near:
+        ri, rj = find(entry[1]), find(entry[2])
+        if ri == rj:
+            continue  # connected through other shapes
+        key = (ri, rj) if ri < rj else (rj, ri)
+        if key not in best or entry < best[key]:
             best[key] = entry
 
     out = []
     for gap_sq, i, j in sorted(best.values(), key=lambda e: (e[1], e[2])):
         if not _cut_suppressed(shapes[i], shapes[j], cuts):
-            out.append(Violation(layer, shapes[i], shapes[j], gap_sq))
+            out.append(Violation(rule.name, shapes[i], shapes[j], gap_sq))
     return out
 
 
+def check_spacing(d: Design, layer: str) -> list[Violation]:
+    """Same-layer spacing check by a sweep on x.
+
+    The design is flattened once into per-layer shape buckets. Shapes are
+    then swept in lo.x order against an active window of shapes that end
+    less than min_spacing to the left, so only x-near pairs are compared.
+    Shapes that touch or overlap are fabricated as one aggregated pattern and
+    are merged before checking, so only gaps between disjoint patterns count;
+    each pattern pair reports its closest pair of shapes. A gap smaller than
+    min_spacing is reported unless a cut shape on the layer's cut layer
+    bisects it. Pin-purpose shapes are label overlays of their wires and are
+    skipped. Diagonal gaps compare the exact Euclidean distance in integers.
+    Violations come in shape order (iter_flat order of the pair).
+    """
+    return _check_layer(d.tech.layer(layer), *_shape_index(d))
+
+
 def check_all(d: Design) -> list[Violation]:
-    """check_spacing over every layer of the technology."""
+    """check_spacing over every layer of the technology, from one flattening."""
+    index = _shape_index(d)
     out: list[Violation] = []
-    for name in d.tech.layers:
-        out.extend(check_spacing(d, name))
+    for rule in d.tech.layers.values():
+        out.extend(_check_layer(rule, *index))
     return out

@@ -195,11 +195,13 @@ def read_library(data: bytes) -> Library:
         pos += size
 
     it = iter(records)
+    end = (None, b"")  # what the iterator yields once the stream is exhausted
 
     def expect(rtype: int) -> bytes:
-        t, payload = next(it)
+        t, payload = next(it, end)
         if t != rtype:
-            raise ParseError(f"expected record {rtype:#06x}, got {t:#06x}")
+            got = "the end of the stream" if t is None else f"{t:#06x}"
+            raise ParseError(f"expected record {rtype:#06x}, got {got}")
         return payload
 
     def text(b: bytes) -> str:
@@ -234,13 +236,13 @@ def read_library(data: bytes) -> Library:
             elif rtype2 == SREF:
                 sref_name = text(expect(SNAME))
                 strans = angle = None
-                t, p = next(it)
+                t, p = next(it, end)
                 if t == STRANS:
                     strans = struct.unpack(">H", p)[0]
-                    t, p = next(it)
+                    t, p = next(it, end)
                 if t == ANGLE:
                     angle = decode_real(p)
-                    t, p = next(it)
+                    t, p = next(it, end)
                 if t != XY:
                     raise ParseError("SREF without XY")
                 x, y = struct.unpack(">2i", p)
@@ -255,7 +257,11 @@ def read_library(data: bytes) -> Library:
                 expect(ENDEL)
             else:
                 raise ParseError(f"unexpected record {rtype2:#06x} in structure")
+        else:
+            raise ParseError(f"structure {sname!r} has no ENDSTR")
         structures.append(Structure(sname, tuple(elements)))
+    else:
+        raise ParseError("stream ends before ENDLIB")
     return Library(name, user_unit, db_unit, tuple(structures))
 
 

@@ -181,8 +181,13 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
         )
     for e in data["vias"]:
         d.vias.append(PlacedVia(e["via"], Point(e["pos"][0], e["pos"][1])))
-    for e in data["pins"]:
-        d.pins.append(Pin(e["name"], e["net"], d.wires[e["wire"]]))
+    for k, e in enumerate(data["pins"]):
+        w = e["wire"]
+        if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < len(d.wires):
+            raise ValidationError(
+                f"pins[{k}].wire: {w!r} is not an index into the {len(d.wires)} wires"
+            )
+        d.pins.append(Pin(e["name"], e["net"], d.wires[w]))
     for e in data["rects"]:
         if e["src"] != "raw":
             continue

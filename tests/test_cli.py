@@ -86,6 +86,35 @@ def test_check_flags_injected_violation(tmp_path, capsys, finfet):
     assert "m1" in out
 
 
+
+def test_check_rejects_shape_on_undefined_layer(tmp_path, capsys, finfet):
+    doc = json.loads(write_layout_json(Design("bad", finfet)))
+    doc["rects"] = [
+        {"layer": "nosuch", "datatype": 0, "purpose": "drawing", "src": "raw", "bbox": bbox}
+        for bbox in ([0, 0, 20, 20], [22, 0, 42, 20])
+    ]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc = run(["check", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'nosuch'" in captured.err
+
+
+@pytest.mark.parametrize("index", [1, -1])
+def test_check_rejects_bad_pin_wire_index(tmp_path, capsys, finfet, index):
+    d = Design("pins", finfet)
+    d.add_pin("a", "n", d.add_wire(Wire(layer="m1", axis="h", track=100, lo=0, hi=100, width=20)))
+    doc = json.loads(write_layout_json(d))
+    doc["pins"][0]["wire"] = index
+    path = tmp_path / "pins.json"
+    path.write_text(json.dumps(doc))
+    rc = run(["check", "--in", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error:") and "pins[0].wire" in captured.err
+
 def test_postprocess_cuts_pass(tmp_path, finfet):
     d = Design("cuts", finfet)
     d.add_wire(Wire(layer="m1", axis="h", track=100, lo=0, hi=50, width=20))

@@ -9,6 +9,7 @@ from gridlay.errors import (
     MissingVia,
     NonRectilinear,
     UnknownGenerator,
+    UnknownLayer,
     UnknownWire,
 )
 from gridlay.flow import FlowFlags, run_flow
@@ -253,6 +254,16 @@ def test_diagonal_gap_uses_euclidean(finfet):
     d2.rects.append(Rect("m1", Point(0, 0), Point(20, 20)))
     d2.rects.append(Rect("m1", Point(32, 35), Point(52, 55)))
     assert len(check_spacing(d2, "m1")) == 1
+
+
+def test_shape_on_undefined_layer_is_rejected(finfet):
+    d = Design("t", finfet)
+    d.rects.append(Rect("nosuch", Point(0, 0), Point(20, 20)))
+    d.rects.append(Rect("nosuch", Point(22, 0), Point(42, 20)))
+    with pytest.raises(UnknownLayer, match="nosuch"):
+        check_all(d)
+    with pytest.raises(UnknownLayer, match="nosuch"):
+        check_spacing(d, "m1")
 
 
 # -- run_flow ----------------------------------------------------------------------

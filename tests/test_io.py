@@ -3,8 +3,8 @@ import struct
 
 import pytest
 
-from gridlay.design import Design
-from gridlay.errors import GdsOverflow, ValidationError
+from gridlay.design import Design, Wire
+from gridlay.errors import GdsOverflow, ParseError, ValidationError
 from gridlay.flow import run_flow
 from gridlay.gds import (
     Boundary,
@@ -147,6 +147,27 @@ def test_gds_round_trip_byte_identical(finfet, planar):
             assert first == again
 
 
+
+def record_ends(data: bytes) -> list[int]:
+    """Offsets just past each record, read from the length words alone."""
+    ends, pos = [], 0
+    while pos < len(data):
+        pos += struct.unpack(">H", data[pos:pos + 2])[0]
+        ends.append(pos)
+    return ends
+
+
+@pytest.mark.parametrize("gen,params", [("dac", {"bits": 2}), ("scan", {"n_bits": 2})])
+def test_gds_truncated_at_any_record_boundary(finfet, planar, gen, params):
+    for tech in (planar, finfet):
+        data = write_gds(run_flow(gen, params, tech))
+        assert write_library(read_library(data)) == data
+        ends = record_ends(data)
+        assert ends[-1] == len(data)
+        for cut in [0] + ends[:-1]:
+            with pytest.raises(ParseError):
+                read_library(data[:cut])
+
 def test_gds_deterministic(finfet):
     a = write_gds(run_flow("dac", {"bits": 1}, finfet))
     b = write_gds(run_flow("dac", {"bits": 1}, finfet))
@@ -229,6 +250,17 @@ def test_json_validates_schema(finfet):
     with pytest.raises(ValidationError):
         read_layout_json(b'{"schema_version": 99}')
 
+
+
+@pytest.mark.parametrize("index", [1, -1, True, "0", None])
+def test_pin_wire_index_out_of_range(finfet, index):
+    d = Design("pins", finfet)
+    d.add_pin("a", "n", d.add_wire(Wire(layer="m1", axis="h", track=100, lo=0, hi=100, width=20)))
+    doc = read_layout_json(write_layout_json(d))
+    assert document_to_design(doc, finfet).pins[0].wire.net == "n"
+    doc.data["pins"][0]["wire"] = index
+    with pytest.raises(ValidationError, match=r"pins\[0\]\.wire"):
+        document_to_design(doc, finfet)
 
 def test_document_tech_mismatch(finfet, planar):
     d = run_flow("dac", {"bits": 1}, finfet)
