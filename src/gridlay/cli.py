@@ -14,17 +14,13 @@ from pathlib import Path
 
 from .design import check_all
 from .errors import LayoutError
-from .flow import FlowFlags, run_flow
+from .flow import POST_PASSES, FlowFlags, run_flow, run_pass
 from .gds import write_gds
 from .generators import get_generator, generator_specs
 from .layoutjson import document_to_design, read_layout_json, write_layout_json
-from .postprocess import assign_colors, cut_pattern_gen, extend_min_area, fill_dummies
 from .svg import write_svg
 from .tech import load_tech_file
 from .template import validate_params
-
-PASSES = ("min-area", "cuts", "colors", "dummies")
-
 
 def _parse_params(pairs: list[str], schema) -> dict:
     out = {}
@@ -78,35 +74,18 @@ def _cmd_gen(args) -> int:
 def _load_design(args):
     doc = read_layout_json(Path(getattr(args, "in")).read_bytes())
     tech = load_tech_file(args.tech if args.tech else doc.tech_name)
-    return document_to_design(doc, tech), tech
+    return document_to_design(doc, tech)
 
 
 def _cmd_postprocess(args) -> int:
-    d, tech = _load_design(args)
-    if args.pass_name == "min-area":
-        for name, rule in tech.layers.items():
-            if rule.min_area > 0:
-                extend_min_area(d, name)
-    elif args.pass_name == "cuts":
-        for name, rule in tech.layers.items():
-            if rule.cut is not None:
-                cut_pattern_gen(d, name)
-    elif args.pass_name == "colors":
-        for name, rule in tech.layers.items():
-            if rule.colorable:
-                assign_colors(d, name, args.offset)
-    else:
-        box = d.instance_bbox()
-        if box is not None:
-            from .geometry import Rect
-
-            fill_dummies(d, Rect("", box[0], box[1]))
+    d = _load_design(args)
+    run_pass(d, args.pass_name, args.offset)
     _write_out(args.out, write_layout_json(d))
     return 0
 
 
 def _cmd_check(args) -> int:
-    d, _tech = _load_design(args)
+    d = _load_design(args)
     violations = check_all(d)
     for v in violations:
         print(v)
@@ -136,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     post = sub.add_parser("postprocess", help="apply one pass to a layout JSON")
-    post.add_argument("--pass", dest="pass_name", required=True, choices=PASSES)
+    post.add_argument("--pass", dest="pass_name", required=True, choices=POST_PASSES)
     post.add_argument("--in", required=True, help="input layout JSON")
     post.add_argument("--out", default="-")
     post.add_argument("--tech", default=None, help="override the document's tech")

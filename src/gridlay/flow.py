@@ -13,12 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .design import Design
-from .errors import FlowError
+from .errors import FlowError, LayoutError
 from .generators import Generator, get_generator
 from .geometry import Rect
 from .postprocess import assign_colors, cut_pattern_gen, extend_min_area, fill_dummies
 from .tech import TechDB
 from .template import validate_params
+
+
+POST_PASSES = ("min-area", "cuts", "colors", "dummies")
 
 
 @dataclass
@@ -30,6 +33,38 @@ class FlowFlags:
     colors: bool = True
     dummies: bool = True
     color_offset: int = 0
+
+
+def _stage(name, fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise FlowError(name, exc) from exc
+
+
+def run_pass(d: Design, name: str, color_offset: int = 0) -> None:
+    """Run one post pass wherever the design's technology requires it.
+
+    min-area runs on layers with a positive min area, cuts on layers with a
+    cut rule, colors on colorable layers, and dummies when the tech ships a
+    `dummy` template and the design has instances to fill between. A pass the
+    tech does not require changes nothing. Errors carry the stage label, as
+    in `postprocess[cuts:m1]`.
+    """
+    if name not in POST_PASSES:
+        raise LayoutError(f"unknown post pass {name!r}; known: {', '.join(POST_PASSES)}")
+    if name == "dummies":
+        box = d.instance_bbox() if "dummy" in d.tech.templates else None
+        if box is not None:
+            _stage("postprocess[dummies]", fill_dummies, d, Rect("", box[0], box[1]))
+        return
+    for layer, rule in d.tech.layers.items():
+        if name == "min-area" and rule.min_area > 0:
+            _stage(f"postprocess[min-area:{layer}]", extend_min_area, d, layer)
+        elif name == "cuts" and rule.cut is not None:
+            _stage(f"postprocess[cuts:{layer}]", cut_pattern_gen, d, layer)
+        elif name == "colors" and rule.colorable:
+            _stage(f"postprocess[colors:{layer}]", assign_colors, d, layer, color_offset)
 
 
 def run_flow(
@@ -47,39 +82,14 @@ def run_flow(
         gen = generator
 
     d = Design(gen.design_name(), tech)
-
-    def stage(name, fn, *args):
-        try:
-            return fn(*args)
-        except Exception as exc:
-            raise FlowError(name, exc) from exc
-
-    stage("instances", gen.build_instances, d)
-    stage("placement", gen.place_instances, d)
-    stage("grids", gen.make_grids, d)
-    stage("routing", gen.route_wires, d)
-    stage("pinning", gen.add_pins, d)
-
-    if flags.min_area:
-        for name, rule in tech.layers.items():
-            if rule.min_area > 0:
-                stage(f"postprocess[min-area:{name}]", extend_min_area, d, name)
-    if flags.cuts:
-        for name, rule in tech.layers.items():
-            if rule.cut is not None:
-                stage(f"postprocess[cuts:{name}]", cut_pattern_gen, d, name)
-    if flags.colors and d.rgrid is not None:
-        for name, rule in tech.layers.items():
-            if rule.colorable:
-                stage(
-                    f"postprocess[colors:{name}]",
-                    assign_colors, d, name, flags.color_offset,
-                )
-    if flags.dummies and "dummy" in tech.templates and d.pgrid is not None:
-        box = d.instance_bbox()
-        if box is not None:
-            region = Rect("", box[0], box[1])
-            stage("postprocess[dummies]", fill_dummies, d, region)
+    _stage("instances", gen.build_instances, d)
+    _stage("placement", gen.place_instances, d)
+    _stage("grids", gen.make_grids, d)
+    _stage("routing", gen.route_wires, d)
+    _stage("pinning", gen.add_pins, d)
+    for name in POST_PASSES:
+        if getattr(flags, name.replace("-", "_")):
+            run_pass(d, name, flags.color_offset)
     return d
 
 

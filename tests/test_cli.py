@@ -199,3 +199,32 @@ def test_gen_with_tech_path(tmp_path):
     out = tmp_path / "d.json"
     assert run(["gen", "--tech", str(tech_path), "--generator", "dac",
                 "--param", "bits=1", "--out", str(out)]) == 0
+
+
+def test_postprocess_pass_errors_carry_stage(tmp_path, capsys, finfet):
+    # no routing grid to color against: the error names the pass and layer
+    d = Design("gridless", finfet)
+    d.add_wire(Wire(layer="m1", axis="h", track=100, lo=0, hi=100, width=20))
+    src = tmp_path / "in.json"
+    src.write_bytes(write_layout_json(d))
+    rc = run(["postprocess", "--pass", "colors", "--in", str(src),
+              "--out", str(tmp_path / "out.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: postprocess[colors:m1]:")
+
+
+def test_postprocess_unrequired_pass_writes_document_unchanged(tmp_path):
+    # a tech without a dummy template does not require dummy fill
+    from importlib import resources
+
+    tech = json.loads(resources.files("gridlay").joinpath("techs/mock_finfet.json").read_text())
+    del tech["templates"]["dummy"]
+    tech_path = tmp_path / "nodummy.json"
+    tech_path.write_text(json.dumps(tech))
+    src = tmp_path / "in.json"
+    dst = tmp_path / "out.json"
+    assert run(["gen", "--tech", "mock_finfet", "--generator", "dac",
+                "--param", "bits=1", "--out", str(src)]) == 0
+    assert run(["postprocess", "--pass", "dummies", "--tech", str(tech_path),
+                "--in", str(src), "--out", str(dst)]) == 0
+    assert dst.read_bytes() == src.read_bytes()

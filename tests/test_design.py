@@ -6,13 +6,14 @@ from gridlay.design import Design, Wire, check_all, check_spacing
 from gridlay.errors import (
     DuplicatePin,
     FlowError,
+    LayoutError,
     MissingVia,
     NonRectilinear,
     UnknownGenerator,
     UnknownLayer,
     UnknownWire,
 )
-from gridlay.flow import FlowFlags, run_flow
+from gridlay.flow import FlowFlags, run_flow, run_pass
 from gridlay.geometry import Point, Rect, Transform
 from gridlay.grid import OneDimGrid, PlacementGrid, generate_routing_grid
 from gridlay.layoutjson import write_layout_json
@@ -306,6 +307,12 @@ def test_run_flow_errors_carry_stage(finfet):
 def test_flow_flags_disable_cuts(finfet):
     d = run_flow("dac", {"bits": 1}, finfet, FlowFlags(cuts=False))
     assert sum(1 for r in d.rects if r.purpose == "cut") == 0
+
+
+def test_run_pass_rejects_unknown_pass(finfet):
+    d = run_flow("dac", {"bits": 1}, finfet)
+    with pytest.raises(LayoutError, match="polish"):
+        run_pass(d, "polish")
 
 
 def test_check_all_clean_designs(finfet, planar):
