@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .design import Design
 from .errors import GdsOverflow, ParseError
 from .geometry import Point, Rect, Transform, mat_apply, half_i_minus
+from .tech import LayerDef
 
 # record type/datatype bytes
 HEADER = 0x0002
@@ -47,6 +48,12 @@ DB_UNIT_M = 1e-9   # database unit in meters
 REFLECT = 0x8000
 
 _PURPOSE_DT_OFFSET = {"drawing": 0, "pin": 1, "colorA": 2, "colorB": 3, "dummy": 4, "cut": 0}
+
+
+def gds_datatype(layer: LayerDef, purpose: str) -> int:
+    """The datatype a shape of this purpose is written with on this layer."""
+    return layer.gds_datatype + _PURPOSE_DT_OFFSET[purpose]
+
 
 # Orientation -> (strans, angle); None means the record is omitted.
 _TRANSFORM_GDS: dict[Transform, tuple[int | None, float | None]] = {
@@ -267,7 +274,7 @@ def read_library(data: bytes) -> Library:
 
 def _rect_boundary(d: Design, r: Rect) -> Boundary:
     layer = d.tech.layer(r.layer)
-    dt = layer.gds_datatype + _PURPOSE_DT_OFFSET[r.purpose]
+    dt = gds_datatype(layer, r.purpose)
     xy = (
         (r.lo.x, r.lo.y),
         (r.hi.x, r.lo.y),
@@ -333,7 +340,7 @@ def design_to_library(d: Design) -> Library:
         layer = d.tech.layer(pin.wire.layer)
         r = pin.rect()
         center = ((r.lo.x + r.hi.x) // 2, (r.lo.y + r.hi.y) // 2)
-        texts.append(Text(layer.gds_layer, layer.gds_datatype + 1, center, pin.name))
+        texts.append(Text(layer.gds_layer, gds_datatype(layer, "pin"), center, pin.name))
     top.extend(sorted(texts, key=lambda t: (t.string, t.pos)))
 
     structures.append(Structure(d.name, tuple(top)))

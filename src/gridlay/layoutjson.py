@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 from .design import Design, Pin, PlacedVia, Wire
 from .errors import ParseError, ValidationError
+from .gds import gds_datatype
 from .geometry import Point, Rect, Transform
 from .grid import OneDimGrid, PlacementGrid, generate_routing_grid
 from .tech import TechDB
 from .template import generate
 
 SCHEMA_VERSION = 1
-
-_PURPOSE_DT_OFFSET = {"drawing": 0, "pin": 1, "colorA": 2, "colorB": 3, "dummy": 4, "cut": 0}
 
 
 @dataclass(frozen=True)
@@ -100,11 +99,10 @@ def design_to_document(d: Design) -> LayoutDocument:
 
     rects = []
     for r, src in d.iter_flat():
-        layer = d.tech.layer(r.layer)
         rects.append(
             {
                 "layer": r.layer,
-                "datatype": layer.gds_datatype + _PURPOSE_DT_OFFSET[r.purpose],
+                "datatype": gds_datatype(d.tech.layer(r.layer), r.purpose),
                 "purpose": r.purpose,
                 "src": src,
                 "bbox": [r.lo.x, r.lo.y, r.hi.x, r.hi.y],
