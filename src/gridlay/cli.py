@@ -20,31 +20,31 @@ from .generators import get_generator, generator_specs
 from .layoutjson import document_to_design, read_layout_json, write_layout_json
 from .svg import write_svg
 from .tech import load_tech_file
-from .template import validate_params
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 def _parse_params(pairs: list[str], schema) -> dict:
+    """K=V strings to a params dict, each value converted by its spec type.
+
+    A value that does not convert, and an unknown key, pass through as the
+    raw string, so `validate_params` reports them, naming the field.
+    """
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise LayoutError(f"--param needs k=v, got {pair!r}")
         key, _, raw = pair.partition("=")
         spec = schema.get(key)
-        if spec is None:
-            raise LayoutError(f"unknown parameter {key!r}")
-        if spec.type == "int":
+        value = raw
+        if spec is not None and spec.type == "int":
             try:
-                out[key] = int(raw)
+                value = int(raw)
             except ValueError:
-                raise LayoutError(f"parameter {key!r} needs an integer, got {raw!r}")
-        elif spec.type == "bool":
-            if raw.lower() in ("1", "true", "yes"):
-                out[key] = True
-            elif raw.lower() in ("0", "false", "no"):
-                out[key] = False
-            else:
-                raise LayoutError(f"parameter {key!r} needs a boolean, got {raw!r}")
-        else:
-            out[key] = raw
+                pass
+        elif spec is not None and spec.type == "bool":
+            value = _BOOL_WORDS.get(raw.lower(), raw)
+        out[key] = value
     return out
 
 
@@ -57,10 +57,8 @@ def _write_out(path: str, data: bytes) -> None:
 
 def _cmd_gen(args) -> int:
     tech = load_tech_file(args.tech)
-    cls = get_generator(args.generator)
-    params = validate_params(cls.schema, _parse_params(args.param, cls.schema))
-    flags = FlowFlags(color_offset=args.color_offset)
-    d = run_flow(args.generator, params, tech, flags)
+    params = _parse_params(args.param, get_generator(args.generator).schema)
+    d = run_flow(args.generator, params, tech, FlowFlags(color_offset=args.color_offset))
     if args.format == "json":
         data = write_layout_json(d)
     elif args.format == "gds":

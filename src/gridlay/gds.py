@@ -18,6 +18,7 @@ from .design import Design
 from .errors import GdsOverflow, ParseError
 from .geometry import Point, Rect, Transform, mat_apply, half_i_minus
 from .tech import LayerDef
+from .template import param_tokens
 
 # record type/datatype bytes
 HEADER = 0x0002
@@ -286,13 +287,7 @@ def _rect_boundary(d: Design, r: Rect) -> Boundary:
 
 
 def master_struct_name(master: str, params) -> str:
-    parts = [master]
-    for k in sorted(params):
-        v = params[k]
-        if isinstance(v, bool):
-            v = int(v)
-        parts.append(f"{k}{v}")
-    return "__".join(parts) if len(parts) > 1 else master
+    return "__".join([master, *param_tokens(params)])
 
 
 def design_to_library(d: Design) -> Library:

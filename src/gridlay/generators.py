@@ -14,7 +14,7 @@ from .design import Design, Wire
 from .errors import UnknownGenerator
 from .geometry import Rect
 from .grid import GridSpec, OneDimGrid, PlacementGrid, generate_routing_grid
-from .template import ParamSpec, VirtualInstance, generate
+from .template import ParamSpec, VirtualInstance, generate, param_tokens
 
 REGISTRY: dict[str, type["Generator"]] = {}
 
@@ -51,10 +51,7 @@ class Generator:
         self.params = params
 
     def design_name(self) -> str:
-        parts = [self.name] + [
-            f"{k}{int(v) if isinstance(v, bool) else v}" for k, v in sorted(self.params.items())
-        ]
-        return "_".join(parts)
+        return "_".join([self.name, *param_tokens(self.params)])
 
     def build_instances(self, d: Design) -> None:
         raise NotImplementedError

@@ -78,6 +78,12 @@ def validate_params(schema: Mapping[str, ParamSpec], params: Mapping[str, Any]) 
     return out
 
 
+def param_tokens(params: Mapping[str, Any]) -> list[str]:
+    """One `f"{k}{v}"` token per parameter in key order, bools as 0/1: the
+    pieces design names and GDS structure names are joined from."""
+    return [f"{k}{int(v) if isinstance(v, bool) else v}" for k, v in sorted(params.items())]
+
+
 @dataclass(frozen=True)
 class SubElement:
     """A geometry group placed inside a virtual instance.

@@ -48,6 +48,18 @@ def test_gen_reports_bad_param(tmp_path, capsys):
     assert "bits" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("generator,param,field", [
+    ("dac", "bogus=1", "bogus"),
+    ("dac", "bits=99", "bits"),
+    ("scan", "with_levelshift=maybe", "with_levelshift"),
+])
+def test_gen_bad_param_names_the_field(tmp_path, capsys, generator, param, field):
+    rc = run(["gen", "--tech", "mock_finfet", "--generator", generator,
+              "--param", param, "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert f"'{field}'" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as err:
         run(["gen", "--bogus"])
