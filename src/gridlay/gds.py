@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .design import Design
 from .errors import GdsOverflow, ParseError
-from .geometry import Point, Rect, Transform, mat_apply, half_i_minus
+from .geometry import Point, Rect, Transform
 from .tech import LayerDef
 from .template import param_tokens
 
@@ -324,7 +324,7 @@ def design_to_library(d: Design) -> Library:
         strans, angle = _TRANSFORM_GDS[vi.transform]
         # The struct holds local R0 geometry; the stream transform acts
         # before translation, so the anchor shift keeps bboxes in place.
-        anchor = vi.origin + mat_apply(half_i_minus(vi.transform), vi.size)
+        anchor = vi.anchor()
         srefs.append(
             Sref(master_struct_name(vi.master, vi.params), (anchor.x, anchor.y), strans, angle)
         )

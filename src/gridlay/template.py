@@ -184,7 +184,8 @@ class VirtualInstance:
         """Absolute bounding box; identical for all four orientations."""
         return self.origin, self.origin + self.size
 
-    def _anchor(self) -> Point:
+    def anchor(self) -> Point:
+        """Where the local origin lands: origin + 0.5*(I - M) * size."""
         return self.origin + mat_apply(half_i_minus(self.transform), self.size)
 
     def place_subelement(self, k: int) -> tuple[Point, Transform]:
@@ -197,7 +198,7 @@ class VirtualInstance:
         not. Both conventions produce identical results at R0.
         """
         sub = self.subelements[k]
-        pos = self._anchor() + apply(self.transform, sub.offset)
+        pos = self.anchor() + apply(self.transform, sub.offset)
         return pos, compose(self.transform, sub.transform)
 
     def flatten(self) -> list[Rect]:
@@ -214,7 +215,7 @@ class VirtualInstance:
         pin = self.pins.get(name)
         if pin is None:
             raise UnknownPin(f"{self.master} has no pin {name!r}")
-        return apply_rect(self.transform, pin.rect).translated(self._anchor())
+        return apply_rect(self.transform, pin.rect).translated(self.anchor())
 
     def pin_net(self, name: str) -> str | None:
         pin = self.pins.get(name)
