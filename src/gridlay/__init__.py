@@ -50,7 +50,6 @@ from .layoutjson import (
     write_layout_json,
 )
 from .postprocess import (
-    CutShape,
     assign_colors,
     cut_pattern_gen,
     extend_min_area,

@@ -10,20 +10,10 @@ usage, and dummies fill whatever space remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .design import Design, Wire
 from .errors import LayoutError, NoCutRule, NoDummyTemplate, NotColorable, NotOnGrid
 from .geometry import Point, Rect
 from .template import VirtualInstance, generate
-
-
-@dataclass(frozen=True)
-class CutShape:
-    """One cut-mask rectangle, centered in a gap or beyond a wire end."""
-
-    layer: str
-    rect: Rect
 
 
 def _wire_tracks(d: Design, layer: str) -> dict[tuple[str, int], list[Wire]]:
@@ -45,8 +35,8 @@ def _merged_spans(wires: list[Wire]) -> list[tuple[int, int]]:
     return spans
 
 
-def cut_pattern_gen(d: Design, layer: str) -> list[CutShape]:
-    """Insert cut shapes for a layer fabricated as aggregated patterns.
+def cut_pattern_gen(d: Design, layer: str) -> list[Rect]:
+    """Insert cut rects for a layer fabricated as aggregated patterns; return the new ones.
 
     Scanning each track: any gap between neighboring patterns smaller than
     the spacing threshold receives exactly one cut centered in the gap
@@ -75,7 +65,7 @@ def cut_pattern_gen(d: Design, layer: str) -> list[CutShape]:
             return Rect(rule.cut_layer, Point(a0, c0), Point(a0 + cw, c0 + cl), "cut")
         return Rect(rule.cut_layer, Point(c0, a0), Point(c0 + cl, a0 + cw), "cut")
 
-    out: list[CutShape] = []
+    out: list[Rect] = []
 
     def emit(axis: str, track: int, center: int):
         r = cut_rect(axis, track, center)
@@ -83,7 +73,7 @@ def cut_pattern_gen(d: Design, layer: str) -> list[CutShape]:
             return
         existing.add((r.lo, r.hi))
         d.rects.append(r)
-        out.append(CutShape(rule.cut_layer, r))
+        out.append(r)
 
     for (axis, track), wires in sorted(_wire_tracks(d, layer).items()):
         spans = _merged_spans(wires)

@@ -66,9 +66,6 @@ class ViaDef:
     cut_size: tuple[int, int]
     enclosure: Mapping[str, int]
 
-    def layers(self) -> tuple[str, str]:
-        return self.lower, self.upper
-
 
 @dataclass(frozen=True)
 class TechDB:
@@ -115,12 +112,6 @@ class TechDB:
         if spec is None:
             raise ValidationError(f"{self.name} has no grid {name!r}")
         return spec
-
-    def has_cut_layers(self) -> bool:
-        return any(l.cut is not None for l in self.layers.values())
-
-    def has_colorable_layers(self) -> bool:
-        return any(l.colorable for l in self.layers.values())
 
 
 def _need(d: dict, key: str, where: str):

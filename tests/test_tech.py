@@ -16,15 +16,16 @@ def test_planar_fixture_loads(planar):
     metals = [n for n in planar.layers if n.startswith("m") and n[1:].isdigit()]
     assert sorted(metals) == ["m1", "m2", "m3", "m4"]
     assert all(planar.layers[m].cut is None for m in metals)
-    assert not planar.has_cut_layers()
-    assert not planar.has_colorable_layers()
+    assert all(layer.cut is None for layer in planar.layers.values())
+    assert not any(layer.colorable for layer in planar.layers.values())
 
 
 def test_finfet_fixture_loads(finfet):
     assert finfet.layers["m1"].cut is not None
     assert finfet.layers["m2"].cut is not None
     assert finfet.layers["m1"].colorable and finfet.layers["m2"].colorable
-    assert finfet.has_cut_layers() and finfet.has_colorable_layers()
+    assert any(layer.cut is not None for layer in finfet.layers.values())
+    assert any(layer.colorable for layer in finfet.layers.values())
 
 
 def test_rule_queries(finfet, planar):
