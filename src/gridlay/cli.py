@@ -25,11 +25,8 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False,
 
 
 def _parse_params(pairs: list[str], schema) -> dict:
-    """K=V strings to a params dict, each value converted by its spec type.
-
-    A value that does not convert, and an unknown key, pass through as the
-    raw string, so `validate_params` reports them, naming the field.
-    """
+    """K=V strings to params, converted by spec type; a value that does not
+    convert and an unknown key pass through for validate_params to report."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
@@ -135,10 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LayoutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (LayoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

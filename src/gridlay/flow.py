@@ -43,14 +43,9 @@ def _stage(name, fn, *args):
 
 
 def run_pass(d: Design, name: str, color_offset: int = 0) -> None:
-    """Run one post pass wherever the design's technology requires it.
-
-    min-area runs on layers with a positive min area, cuts on layers with a
-    cut rule, colors on colorable layers, and dummies when the tech ships a
-    `dummy` template and the design has instances to fill between. A pass the
-    tech does not require changes nothing. Errors carry the stage label, as
-    in `postprocess[cuts:m1]`.
-    """
+    """Run one post pass on every layer the tech requires it for (min area > 0,
+    a cut rule, colorable; dummies need a `dummy` template and instances).
+    Errors carry the stage label, as in `postprocess[cuts:m1]`."""
     if name not in POST_PASSES:
         raise LayoutError(f"unknown post pass {name!r}; known: {', '.join(POST_PASSES)}")
     if name == "dummies":

@@ -11,11 +11,12 @@ foreign-file features.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
 from .design import Design
-from .errors import GdsOverflow, ParseError
+from .errors import GdsOverflow, ParseError, ValidationError
 from .geometry import Point, Rect, Transform
 from .tech import LayerDef
 from .template import param_tokens
@@ -140,7 +141,10 @@ def _record(rtype: int, payload: bytes = b"") -> bytes:
 
 
 def _ascii(s: str) -> bytes:
-    b = s.encode("ascii")
+    try:
+        b = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"GDS names must be ASCII, got {s!r}") from exc
     return b + b"\0" if len(b) % 2 else b
 
 
@@ -203,6 +207,19 @@ def read_library(data: bytes) -> Library:
         pos += size
 
     it = iter(records)
+    try:
+        return _parse_library(it)
+    except (struct.error, UnicodeDecodeError, IndexError) as exc:
+        # Each record is decoded right after it is taken, so the culprit is
+        # the last one the iterator handed out.
+        k = len(records) - operator.length_hint(it) - 1
+        rtype, payload = records[k]
+        offset = sum(4 + len(p) for _, p in records[:k])
+        msg = f"record {rtype:#06x} at offset {offset}: bad {len(payload)}-byte payload"
+        raise ParseError(f"{msg} ({exc})") from exc
+
+
+def _parse_library(it) -> Library:
     end = (None, b"")  # what the iterator yields once the stream is exhausted
 
     def expect(rtype: int) -> bytes:

@@ -218,20 +218,6 @@ class GridSpec:
 
         return cls(name=name, xtracks=tracks("xtracks"), ytracks=tracks("ytracks"))
 
-    def to_dict(self) -> dict:
-        def dump(tracks):
-            out = []
-            for t in tracks:
-                e: dict = {"layer": t.layer, "kind": t.kind}
-                if t.wmul != 1:
-                    e["wmul"] = t.wmul
-                if t.color is not None:
-                    e["color"] = t.color
-                out.append(e)
-            return out
-
-        return {"xtracks": dump(self.xtracks), "ytracks": dump(self.ytracks)}
-
 
 @dataclass(frozen=True)
 class RoutingGrid:

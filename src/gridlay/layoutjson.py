@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 
 from .design import Design, Pin, PlacedVia, Wire
-from .errors import ParseError, ValidationError
+from .errors import BadParams, ParseError, ValidationError
 from .gds import gds_datatype
-from .geometry import Point, Rect, Transform
+from .geometry import PURPOSES, Point, Rect, Transform
 from .grid import OneDimGrid, PlacementGrid, generate_routing_grid
 from .tech import TechDB
 from .template import generate
@@ -148,7 +148,45 @@ def read_layout_json(data: bytes | str) -> LayoutDocument:
     for key in ("design", "tech", "instances", "wires", "vias", "pins", "rects"):
         if key not in obj:
             raise ValidationError(f"layout document: missing field {key!r}")
+        if not isinstance(obj[key], str if key in ("design", "tech") else list):
+            raise ValidationError(f"layout document: bad {key!r}: {obj[key]!r}")
     return LayoutDocument(obj)
+
+
+def _is(*types):
+    return lambda v: isinstance(v, types)
+
+
+def _ints(n: int):
+    return lambda v: isinstance(v, list) and len(v) == n and all(isinstance(c, int) for c in v)
+
+
+# What a rebuild needs of each field whose value it can fail on, in the order
+# it reads them. Consulted only once an entry has failed, to name the field.
+_FIELD_CHECKS = {
+    "instances": {"master": _is(str), "params": _is(dict), "origin": _ints(2),
+                  "transform": lambda v: v in [t.value for t in Transform]},
+    "wires": {"axis": lambda v: v in ("h", "v"), "lo": _is(int), "hi": _is(int),
+              "width": lambda v: isinstance(v, int) and v > 0},
+    "vias": {"pos": _ints(2)},
+    "pins": {},
+    "rects": {"layer": _is(str), "bbox": _ints(4), "purpose": lambda v: v in PURPOSES},
+}
+
+
+def _entry_error(section: str, k: int, e, exc: Exception) -> ValidationError:
+    checks = _FIELD_CHECKS.get(section)
+    if checks is None:  # pgrid or grid: a single value
+        return ValidationError(f"{section}: bad value {e!r}")
+    where = f"{section}[{k}]"
+    if not isinstance(e, dict):
+        return ValidationError(f"{where}: must be an object, got {e!r}")
+    if isinstance(exc, KeyError) and isinstance(exc.args[0], str) and exc.args[0] not in e:
+        return ValidationError(f"{where}.{exc.args[0]}: missing")
+    for field, ok in checks.items():
+        if not ok(e.get(field)):
+            return ValidationError(f"{where}.{field}: bad value {e.get(field)!r}")
+    return ValidationError(f"{where}: {exc}")
 
 
 def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
@@ -164,46 +202,48 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     d = Design(doc.design_name, tech)
     data = doc.data
 
-    for e in data["instances"]:
-        vi = generate(tech.template(e["master"]), e["params"], tech)
-        d.instances.append(
-            vi.at(Point(e["origin"][0], e["origin"][1]), Transform(e["transform"]))
-        )
-    for e in data["wires"]:
-        d.wires.append(
-            Wire(
-                layer=e["layer"], axis=e["axis"], track=e["track"],
-                lo=e["lo"], hi=e["hi"], width=e["width"],
-                is_pin=e["is_pin"], net=e["net"], color=e["color"],
+    section, k, e = "instances", 0, None
+    try:
+        for k, e in enumerate(data["instances"]):
+            vi = generate(tech.template(e["master"]), e["params"], tech)
+            d.instances.append(vi.at(Point(e["origin"][0], e["origin"][1]), Transform(e["transform"])))
+        section = "wires"
+        for k, e in enumerate(data["wires"]):
+            d.wires.append(Wire(e["layer"], e["axis"], e["track"], e["lo"], e["hi"], e["width"],
+                                e["is_pin"], e["net"], e["color"]))
+        section = "vias"
+        for k, e in enumerate(data["vias"]):
+            d.vias.append(PlacedVia(e["via"], Point(e["pos"][0], e["pos"][1])))
+        section = "pins"
+        for k, e in enumerate(data["pins"]):
+            w = e["wire"]
+            if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < len(d.wires):
+                raise ValidationError(
+                    f"pins[{k}].wire: {w!r} is not an index into the {len(d.wires)} wires"
+                )
+            d.pins.append(Pin(e["name"], e["net"], d.wires[w]))
+        section = "rects"
+        for k, e in enumerate(data["rects"]):
+            if e["src"] != "raw":
+                continue
+            if e["layer"] not in tech.layers:
+                raise ValidationError(f"rects[{k}].layer: {tech.name} has no layer {e['layer']!r}")
+            b = e["bbox"]
+            d.rects.append(Rect(e["layer"], Point(b[0], b[1]), Point(b[2], b[3]), e["purpose"]))
+        section, e = "pgrid", data.get("pgrid")
+        if e is not None:
+            d.pgrid = PlacementGrid(
+                OneDimGrid(e["x"]["period"], tuple(e["x"]["coords"])),
+                OneDimGrid(e["y"]["period"], tuple(e["y"]["coords"])),
             )
-        )
-    for e in data["vias"]:
-        d.vias.append(PlacedVia(e["via"], Point(e["pos"][0], e["pos"][1])))
-    for k, e in enumerate(data["pins"]):
-        w = e["wire"]
-        if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < len(d.wires):
-            raise ValidationError(
-                f"pins[{k}].wire: {w!r} is not an index into the {len(d.wires)} wires"
-            )
-        d.pins.append(Pin(e["name"], e["net"], d.wires[w]))
-    for e in data["rects"]:
-        if e["src"] != "raw":
-            continue
-        b = e["bbox"]
-        d.rects.append(Rect(e["layer"], Point(b[0], b[1]), Point(b[2], b[3]), e["purpose"]))
-
-    if data.get("pgrid") is not None:
-        pg = data["pgrid"]
-        d.pgrid = PlacementGrid(
-            OneDimGrid(pg["x"]["period"], tuple(pg["x"]["coords"])),
-            OneDimGrid(pg["y"]["period"], tuple(pg["y"]["coords"])),
-        )
-    if data.get("grid") is not None:
-        spec = tech.grid_spec(data["grid"])
-        # The realized grid is independent of the region (it only gates
-        # feasibility, which the original generation already passed), so
-        # rebuild against an ample one.
-        region = Rect("", Point(0, 0), Point(1 << 40, 1 << 40))
-        d.rgrid = generate_routing_grid(tech, spec, region)
-        d.grid_name = data["grid"]
+        section, e = "grid", data.get("grid")
+        if e is not None:
+            # The realized grid is independent of the region (it only gates
+            # feasibility, which the original generation already passed), so
+            # rebuild against an ample one.
+            region = Rect("", Point(0, 0), Point(1 << 40, 1 << 40))
+            d.rgrid = generate_routing_grid(tech, tech.grid_spec(e), region)
+            d.grid_name = e
+    except (KeyError, TypeError, ValueError, IndexError, BadParams) as exc:
+        raise _entry_error(section, k, e, exc) from exc
     return d

@@ -217,12 +217,6 @@ class VirtualInstance:
             raise UnknownPin(f"{self.master} has no pin {name!r}")
         return apply_rect(self.transform, pin.rect).translated(self.anchor())
 
-    def pin_net(self, name: str) -> str | None:
-        pin = self.pins.get(name)
-        if pin is None:
-            raise UnknownPin(f"{self.master} has no pin {name!r}")
-        return pin.net
-
 
 def generate(tpl, params: Mapping[str, Any], tech: "TechDB") -> VirtualInstance:
     """Instantiate a template at origin (0,0), R0.

@@ -127,6 +127,29 @@ def test_check_rejects_bad_pin_wire_index(tmp_path, capsys, finfet, index):
     assert rc == 1
     assert captured.err.startswith("error:") and "pins[0].wire" in captured.err
 
+@pytest.mark.parametrize("command", ["check", "postprocess"])
+@pytest.mark.parametrize("section,field,value", [
+    ("instances", "transform", "R90"),
+    ("wires", "axis", "d"),
+    ("wires", "width", None),   # deleted
+])
+def test_broken_document_exits_1_naming_the_field(tmp_path, capsys, command, section, field, value):
+    out = tmp_path / "d.json"
+    assert run(["gen", "--tech", "mock_finfet", "--generator", "dac",
+                "--param", "bits=1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    if value is None:
+        del doc[section][0][field]
+    else:
+        doc[section][0][field] = value
+    out.write_text(json.dumps(doc))
+    argv = [command, "--in", str(out)]
+    if command == "postprocess":
+        argv += ["--pass", "cuts", "--out", str(tmp_path / "o.json")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {section}[0].{field}: ")
+
+
 def test_postprocess_cuts_pass(tmp_path, finfet):
     d = Design("cuts", finfet)
     d.add_wire(Wire(layer="m1", axis="h", track=100, lo=0, hi=50, width=20))

@@ -7,6 +7,8 @@ from gridlay.design import Design, Wire
 from gridlay.errors import GdsOverflow, ParseError, ValidationError
 from gridlay.flow import run_flow
 from gridlay.gds import (
+    LAYER,
+    STRNAME,
     Boundary,
     Sref,
     decode_real,
@@ -168,6 +170,34 @@ def test_gds_truncated_at_any_record_boundary(finfet, planar, gen, params):
             with pytest.raises(ParseError):
                 read_library(data[:cut])
 
+def record_offset(data: bytes, rtype: int) -> int:
+    pos = 0
+    while struct.unpack(">H", data[pos + 2:pos + 4])[0] != rtype:
+        pos += struct.unpack(">H", data[pos:pos + 2])[0]
+    return pos
+
+
+def test_gds_payload_that_does_not_fit_its_record_type(finfet):
+    data = write_gds(run_flow("dac", {"bits": 2}, finfet))
+    at = record_offset(data, LAYER)
+    # a LAYER record carrying 4 bytes instead of 2
+    wide = data[:at] + struct.pack(">HH", 8, LAYER) + data[at + 4:at + 6] + bytes(2) + data[at + 6:]
+    with pytest.raises(ParseError, match=f"record 0x0d02 at offset {at}:"):
+        read_library(wide)
+    # a structure name byte above 0x7f
+    at = record_offset(data, STRNAME)
+    name = bytearray(data)
+    name[at + 4] = 0xE4
+    with pytest.raises(ParseError, match=f"record 0x0606 at offset {at}:"):
+        read_library(bytes(name))
+    assert write_library(read_library(data)) == data
+
+
+def test_gds_rejects_non_ascii_names(finfet):
+    with pytest.raises(ValidationError, match="'dä'"):
+        write_gds(Design("dä", finfet))
+
+
 def test_gds_deterministic(finfet):
     a = write_gds(run_flow("dac", {"bits": 1}, finfet))
     b = write_gds(run_flow("dac", {"bits": 1}, finfet))
@@ -261,6 +291,43 @@ def test_pin_wire_index_out_of_range(finfet, index):
     doc.data["pins"][0]["wire"] = index
     with pytest.raises(ValidationError, match=r"pins\[0\]\.wire"):
         document_to_design(doc, finfet)
+
+def delete(key):
+    return lambda e: e.pop(key)
+
+
+def setter(key, value):
+    return lambda e: e.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("section,change,field", [
+    ("wires", delete("width"), "width"),
+    ("instances", delete("params"), "params"),
+    ("instances", setter("transform", "R90"), "transform"),
+    ("instances", setter("origin", [0]), "origin"),
+    ("wires", setter("axis", "d"), "axis"),
+    ("wires", setter("width", "20"), "width"),
+    ("vias", setter("pos", 7), "pos"),
+    ("rects", setter("purpose", "bogus"), "purpose"),
+    ("rects", setter("bbox", [0, 0, 20]), "bbox"),
+    ("rects", setter("layer", "nosuch"), "layer"),
+    ("rects", delete("src"), "src"),
+])
+def test_rebuild_errors_name_the_field(finfet, section, change, field):
+    doc = read_layout_json(write_layout_json(run_flow("dac", {"bits": 1}, finfet)))
+    entries = doc.data[section]
+    k = next(i for i, e in enumerate(entries) if section != "rects" or e["src"] == "raw")
+    change(entries[k])
+    with pytest.raises(ValidationError, match=rf"^{section}\[{k}\]\.{field}: "):
+        document_to_design(doc, finfet)
+
+
+def test_rebuild_errors_name_the_instance_of_bad_params(finfet):
+    doc = read_layout_json(write_layout_json(run_flow("dac", {"bits": 1}, finfet)))
+    doc.data["instances"][1]["params"]["nf"] = "one"
+    with pytest.raises(ValidationError, match=r"^instances\[1\]: 'nf' must be an integer"):
+        document_to_design(doc, finfet)
+
 
 def test_document_tech_mismatch(finfet, planar):
     d = run_flow("dac", {"bits": 1}, finfet)

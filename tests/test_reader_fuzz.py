@@ -1,0 +1,84 @@
+"""Fuzz both readers: damaged input fails with a LayoutError, never a traceback.
+
+A derandomized hypothesis search mutates a DAC-2 GDS stream (byte flips and
+truncations) and a DAC-2 layout JSON (field deletions and type swaps in every
+section). Reading, and for JSON also rebuilding, either succeeds or raises a
+LayoutError subclass.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridlay.errors import LayoutError
+from gridlay.flow import run_flow
+from gridlay.gds import read_library, write_gds
+from gridlay.layoutjson import document_to_design, read_layout_json, write_layout_json
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+SECTIONS = ("instances", "wires", "vias", "pins", "rects")
+SWAPS = (None, True, 0, -1, 2.5, "R90", "", [], [0, 0, 0], {}, {"x": 1})
+
+
+@pytest.fixture(scope="module")
+def dac2(finfet):
+    d = run_flow("dac", {"bits": 2}, finfet)
+    return write_gds(d), write_layout_json(d)
+
+
+@FUZZ
+@given(
+    flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=4),
+    cut=st.one_of(st.none(), st.integers(0, 1 << 16)),
+)
+def test_gds_reader_fails_only_with_layout_errors(dac2, flips, cut):
+    data = bytearray(dac2[0])
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    if cut is not None:
+        data = data[:cut % len(data)]
+    try:
+        read_library(bytes(data))
+    except LayoutError:
+        pass
+
+
+# (section or top-level key, entry index, field index, None to delete or a swap index)
+mutation = st.tuples(
+    st.sampled_from(SECTIONS + ("pgrid", "grid", "design", "tech")),
+    st.integers(0, 1 << 10),
+    st.integers(0, 16),
+    st.one_of(st.none(), st.integers(0, len(SWAPS) - 1)),
+)
+
+
+def mutate(doc: dict, where: str, k: int, f: int, swap: int | None) -> None:
+    entries = doc.get(where)
+    if where == "rects" and isinstance(entries, list):   # only raw rects are read back
+        entries = [e for e in entries if e.get("src") == "raw"] or entries
+    if not (isinstance(entries, list) and entries and entries[k % len(entries)]):
+        if swap is None:
+            doc.pop(where, None)
+        else:
+            doc[where] = SWAPS[swap]
+        return
+    entry = entries[k % len(entries)]
+    key = sorted(entry)[f % len(entry)]
+    if swap is None:
+        del entry[key]
+    else:
+        entry[key] = SWAPS[swap]
+
+
+@FUZZ
+@given(mutations=st.lists(mutation, min_size=1, max_size=3))
+def test_layout_json_rebuild_fails_only_with_layout_errors(dac2, finfet, mutations):
+    doc = json.loads(dac2[1])
+    for m in mutations:
+        mutate(doc, *m)
+    try:
+        document_to_design(read_layout_json(json.dumps(doc)), finfet)
+    except LayoutError:
+        pass
