@@ -61,17 +61,17 @@ def validate_params(schema: Mapping[str, ParamSpec], params: Mapping[str, Any]) 
             raise BadParams(f"missing parameter {name!r}")
         if spec.type == "int":
             if isinstance(value, bool) or not isinstance(value, int):
-                raise BadParams(f"{name!r} must be an integer")
+                raise BadParams(f"{name!r} must be an integer, got {value!r}")
             if spec.min is not None and value < spec.min:
                 raise BadParams(f"{name!r} must be >= {spec.min}")
             if spec.max is not None and value > spec.max:
                 raise BadParams(f"{name!r} must be <= {spec.max}")
         elif spec.type == "bool":
             if not isinstance(value, bool):
-                raise BadParams(f"{name!r} must be a boolean")
+                raise BadParams(f"{name!r} must be a boolean, got {value!r}")
         elif spec.type == "str":
             if not isinstance(value, str):
-                raise BadParams(f"{name!r} must be a string")
+                raise BadParams(f"{name!r} must be a string, got {value!r}")
         if spec.choices is not None and value not in spec.choices:
             raise BadParams(f"{name!r} must be one of {list(spec.choices)}")
         out[name] = value

@@ -48,16 +48,17 @@ def test_gen_reports_bad_param(tmp_path, capsys):
     assert "bits" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("generator,param,field", [
-    ("dac", "bogus=1", "bogus"),
-    ("dac", "bits=99", "bits"),
-    ("scan", "with_levelshift=maybe", "with_levelshift"),
+@pytest.mark.parametrize("generator,param,message", [
+    ("dac", "bits=twelve", "'bits' must be an integer, got 'twelve'"),
+    ("dac", "bogus=1", "unknown parameter 'bogus'"),
+    ("dac", "bits=99", "'bits' must be <= 8"),
+    ("scan", "with_levelshift=maybe", "'with_levelshift' must be a boolean, got 'maybe'"),
 ])
-def test_gen_bad_param_names_the_field(tmp_path, capsys, generator, param, field):
+def test_gen_bad_param_names_the_field(tmp_path, capsys, generator, param, message):
     rc = run(["gen", "--tech", "mock_finfet", "--generator", generator,
               "--param", param, "--out", str(tmp_path / "x.json")])
     assert rc == 1
-    assert f"'{field}'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_flag_exits_2():
