@@ -26,7 +26,7 @@ POST_PASSES = ("min-area", "cuts", "colors", "dummies")
 
 @dataclass
 class FlowFlags:
-    """Per-run switches for the post-processing passes."""
+    """Per-run switches: one per POST_PASSES name, `-` written `_`, plus the color offset."""
 
     min_area: bool = True
     cuts: bool = True
