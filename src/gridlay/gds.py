@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .design import Design
 from .errors import GdsOverflow, ParseError, ValidationError
-from .geometry import Point, Rect, Transform
+from .geometry import Rect, Transform
 from .tech import LayerDef
 from .template import param_tokens
 
@@ -316,10 +316,8 @@ def design_to_library(d: Design) -> Library:
             masters[sname] = vi
     structures = []
     for sname in sorted(masters):
-        vi = masters[sname]
-        local = vi.at(Point(0, 0), Transform.R0)
         elements = sorted(
-            (_rect_boundary(d, r) for r in local.flatten()),
+            (_rect_boundary(d, r) for r in masters[sname].local_geometry(Transform.R0)),
             key=lambda b: (b.layer, b.datatype, b.xy),
         )
         structures.append(Structure(sname, tuple(elements)))

@@ -133,7 +133,11 @@ class Rect:
         return self.hi.y - self.lo.y
 
     def translated(self, d: Point) -> "Rect":
-        return replace(self, lo=self.lo + d, hi=self.hi + d)
+        # A shift keeps lo <= hi and the purpose, so the copy skips
+        # __post_init__: flattening translates every placed rect.
+        out = object.__new__(Rect)
+        out.__dict__.update(layer=self.layer, lo=self.lo + d, hi=self.hi + d, purpose=self.purpose)
+        return out
 
     def with_purpose(self, purpose: str) -> "Rect":
         return replace(self, purpose=purpose)

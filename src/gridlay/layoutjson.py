@@ -18,7 +18,7 @@ from .gds import gds_datatype
 from .geometry import PURPOSES, Point, Rect, Transform
 from .grid import OneDimGrid, PlacementGrid, generate_routing_grid
 from .tech import TechDB
-from .template import generate
+from .template import VirtualInstance, generate
 
 SCHEMA_VERSION = 1
 
@@ -161,17 +161,35 @@ def _ints(n: int):
     return lambda v: isinstance(v, list) and len(v) == n and all(isinstance(c, int) for c in v)
 
 
+_INT, _QUAD = _is(int), _ints(4)
+
+
+def _PAIR(v) -> bool:  # _ints(2) unrolled: every instance and via is checked
+    return isinstance(v, list) and len(v) == 2 and isinstance(v[0], int) and isinstance(v[1], int)
+
+
 # What a rebuild needs of each field whose value it can fail on, in the order
 # it reads them. Consulted only once an entry has failed, to name the field.
 _FIELD_CHECKS = {
-    "instances": {"master": _is(str), "params": _is(dict), "origin": _ints(2),
+    "instances": {"master": _is(str), "params": _is(dict), "origin": _PAIR,
                   "transform": lambda v: v in [t.value for t in Transform]},
-    "wires": {"axis": lambda v: v in ("h", "v"), "lo": _is(int), "hi": _is(int),
+    "wires": {"axis": lambda v: v in ("h", "v"), "track": _INT, "lo": _INT, "hi": _INT,
               "width": lambda v: isinstance(v, int) and v > 0},
-    "vias": {"pos": _ints(2)},
+    "vias": {"via": _is(str), "pos": _PAIR},
     "pins": {},
-    "rects": {"layer": _is(str), "bbox": _ints(4), "purpose": lambda v: v in PURPOSES},
+    "rects": {"layer": _is(str), "bbox": _QUAD, "purpose": lambda v: v in PURPOSES},
 }
+
+
+def _want(ok, v):
+    """`v` if it passes `ok`; otherwise a TypeError, whose field the table names.
+
+    For values the geometry would take without complaint (string coordinates
+    compare and add among themselves) and only fail on much later.
+    """
+    if not ok(v):
+        raise TypeError(f"bad value {v!r}")
+    return v
 
 
 def _entry_error(section: str, k: int, e, exc: Exception) -> ValidationError:
@@ -192,8 +210,9 @@ def _entry_error(section: str, k: int, e, exc: Exception) -> ValidationError:
 def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     """Rebuild a working design from a document.
 
-    Instances are regenerated from their master templates, so the document's
-    tech must match the one it was exported with.
+    Instances are regenerated from their master templates, once per distinct
+    master and parameters, so the document's tech must match the one it was
+    exported with.
     """
     if tech.name != doc.tech_name:
         raise ValidationError(
@@ -202,18 +221,28 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     d = Design(doc.design_name, tech)
     data = doc.data
 
+    # One generation per distinct (master, params); the copies placed from it
+    # share its flattened geometry.
+    masters: dict[tuple[str, str], VirtualInstance] = {}
     section, k, e = "instances", 0, None
     try:
         for k, e in enumerate(data["instances"]):
-            vi = generate(tech.template(e["master"]), e["params"], tech)
-            d.instances.append(vi.at(Point(e["origin"][0], e["origin"][1]), Transform(e["transform"])))
+            key = (e["master"], _params_key(e["params"]))
+            vi = masters.get(key)
+            if vi is None:
+                vi = masters[key] = generate(tech.template(e["master"]), e["params"], tech)
+            o = _want(_PAIR, e["origin"])
+            d.instances.append(vi.at(Point(o[0], o[1]), Transform(e["transform"])))
         section = "wires"
         for k, e in enumerate(data["wires"]):
-            d.wires.append(Wire(e["layer"], e["axis"], e["track"], e["lo"], e["hi"], e["width"],
-                                e["is_pin"], e["net"], e["color"]))
+            d.wires.append(Wire(e["layer"], e["axis"], _want(_INT, e["track"]), _want(_INT, e["lo"]),
+                                _want(_INT, e["hi"]), e["width"], e["is_pin"], e["net"], e["color"]))
         section = "vias"
         for k, e in enumerate(data["vias"]):
-            d.vias.append(PlacedVia(e["via"], Point(e["pos"][0], e["pos"][1])))
+            if e["via"] not in tech.vias:
+                raise ValidationError(f"vias[{k}].via: {tech.name} has no via {e['via']!r}")
+            p = _want(_PAIR, e["pos"])
+            d.vias.append(PlacedVia(e["via"], Point(p[0], p[1])))
         section = "pins"
         for k, e in enumerate(data["pins"]):
             w = e["wire"]
@@ -228,7 +257,7 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
                 continue
             if e["layer"] not in tech.layers:
                 raise ValidationError(f"rects[{k}].layer: {tech.name} has no layer {e['layer']!r}")
-            b = e["bbox"]
+            b = _want(_QUAD, e["bbox"])
             d.rects.append(Rect(e["layer"], Point(b[0], b[1]), Point(b[2], b[3]), e["purpose"]))
         section, e = "pgrid", data.get("pgrid")
         if e is not None:

@@ -151,7 +151,11 @@ def fill_dummies(d: Design, region: Rect) -> list[VirtualInstance]:
 
     A site is the half-open placement-grid cell starting at a grid point that
     lies inside the region; it is occupied when any instance bbox overlaps it
-    with positive area.
+    with positive area. Dummies come row by row, left to right.
+
+    Each row is swept on x: the instance boxes across the row are taken in
+    lo.x order, and a site is occupied when a box starting left of its right
+    edge reaches past its left edge.
     """
     tpl = d.tech.templates.get("dummy")
     if tpl is None:
@@ -159,24 +163,24 @@ def fill_dummies(d: Design, region: Rect) -> list[VirtualInstance]:
     if d.pgrid is None:
         raise LayoutError("design has no placement grid to fill on")
     dummy = generate(tpl, {}, d.tech)
-    boxes = [vi.bbox() for vi in d.instances]
-
-    def occupied(cell_lo: Point, cell_hi: Point) -> bool:
-        for lo, hi in boxes:
-            if lo.x < cell_hi.x and cell_lo.x < hi.x and lo.y < cell_hi.y and cell_lo.y < hi.y:
-                return True
-        return False
+    boxes = sorted((vi.bbox() for vi in d.instances), key=lambda b: b[0].x)
 
     gx, gy = d.pgrid.xgrid, d.pgrid.ygrid
     added: list[VirtualInstance] = []
     j = gy.index_where(">=", region.lo.y)
     while gy.phys(j) < region.hi.y:
+        y0, y1 = gy.phys(j), gy.phys(j + 1)
+        row = [(lo.x, hi.x) for lo, hi in boxes if lo.y < y1 and y0 < hi.y]
+        k = 0
         i = gx.index_where(">=", region.lo.x)
-        while gx.phys(i) < region.hi.x:
-            lo = Point(gx.phys(i), gy.phys(j))
-            hi = Point(gx.phys(i + 1), gy.phys(j + 1))
-            if not occupied(lo, hi):
+        x0 = reach = gx.phys(i)  # reach: largest hi.x of the boxes passed
+        while x0 < region.hi.x:
+            x1 = gx.phys(i + 1)
+            while k < len(row) and row[k][0] < x1:
+                reach = max(reach, row[k][1])
+                k += 1
+            if reach <= x0:
                 added.append(d.place(dummy, d.pgrid, (i, j)))
-            i += 1
+            i, x0 = i + 1, x1
         j += 1
     return added

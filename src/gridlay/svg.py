@@ -9,6 +9,7 @@ to identical bytes.
 from __future__ import annotations
 
 from .design import Design
+from .geometry import bbox_of
 
 # fills cycled over layers in tech order
 _PALETTE = (
@@ -22,11 +23,12 @@ _MARGIN = 40
 def write_svg(d: Design, styles: dict[str, str] | None = None) -> bytes:
     """Render the flattened design; `styles` maps layer name to a fill color."""
     styles = styles or {}
+    flat = [r for r, _ in d.iter_flat()]
     rects = sorted(
-        ((r, src) for r, src in d.iter_flat() if r.purpose != "pin"),
-        key=lambda e: (e[0].layer, e[0].lo, e[0].hi, e[0].purpose),
+        (r for r in flat if r.purpose != "pin"),
+        key=lambda r: (r.layer, r.lo, r.hi, r.purpose),
     )
-    bbox = d.bbox()
+    bbox = bbox_of(flat)
     if bbox is None:
         lo_x = lo_y = 0
         w = h = 2 * _MARGIN
@@ -47,7 +49,7 @@ def write_svg(d: Design, styles: dict[str, str] | None = None) -> bytes:
         '<g transform="scale(1,-1)">',
     ]
     current = None
-    for r, _src in rects:
+    for r in rects:
         if r.layer != current:
             if current is not None:
                 lines.append("</g>")

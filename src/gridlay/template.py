@@ -9,7 +9,7 @@ instance with one bounding box, one transform, and one pin set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .errors import BadParams, UnknownPin
@@ -19,7 +19,6 @@ from .geometry import (
     Transform,
     apply,
     apply_rect,
-    bbox_of,
     compose,
     half_i_minus,
     mat_apply,
@@ -161,6 +160,10 @@ class VirtualInstance:
 
     with M the transform matrix, so the absolute bounding box is the box of
     the declared size anchored at the origin for all four orientations.
+
+    Every copy made by `at()` shares one cache of the master's flattened
+    geometry relative to the anchor, filled once per transform, so placing a
+    master many times transforms its sub-element rects only once.
     """
 
     master: str
@@ -170,6 +173,7 @@ class VirtualInstance:
     size: Point
     subelements: tuple[SubElement, ...]
     pins: Mapping[str, PinDef]
+    _local: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for pname, pin in self.pins.items():
@@ -177,8 +181,14 @@ class VirtualInstance:
                 raise ValueError(f"instance {self.master}: pin {pname} outside bbox")
 
     def at(self, origin: Point, transform: Transform) -> "VirtualInstance":
-        """Repositioned copy (instances are immutable)."""
-        return replace(self, origin=origin, transform=transform)
+        """Repositioned copy (instances are immutable).
+
+        The copy shares the geometry cache, and skips __post_init__: its
+        pins and size are the ones already checked.
+        """
+        copy = object.__new__(VirtualInstance)
+        copy.__dict__.update(self.__dict__, origin=origin, transform=transform)
+        return copy
 
     def bbox(self) -> tuple[Point, Point]:
         """Absolute bounding box; identical for all four orientations."""
@@ -201,14 +211,26 @@ class VirtualInstance:
         pos = self.anchor() + apply(self.transform, sub.offset)
         return pos, compose(self.transform, sub.transform)
 
+    def local_geometry(self, transform: Transform) -> tuple[Rect, ...]:
+        """Sub-element geometry under `transform`, relative to the anchor.
+
+        Each rect r of a sub-element with offset o and orientation S becomes
+        M*(S*r) + M*o. Computed once per transform and shared by every copy.
+        """
+        rects = self._local.get(transform)
+        if rects is None:
+            rects = tuple(
+                apply_rect(compose(transform, sub.transform), r).translated(apply(transform, sub.offset))
+                for sub in self.subelements
+                for r in sub.rects
+            )
+            self._local[transform] = rects
+        return rects
+
     def flatten(self) -> list[Rect]:
         """All sub-element geometry in absolute coordinates."""
-        out: list[Rect] = []
-        for k, sub in enumerate(self.subelements):
-            pos, eff = self.place_subelement(k)
-            for r in sub.rects:
-                out.append(apply_rect(eff, r).translated(pos))
-        return out
+        anchor = self.anchor()
+        return [r.translated(anchor) for r in self.local_geometry(self.transform)]
 
     def pin_abs(self, name: str) -> Rect:
         """A pin rect transformed exactly like sub-element geometry."""

@@ -322,6 +322,28 @@ def test_rebuild_errors_name_the_field(finfet, section, change, field):
         document_to_design(doc, finfet)
 
 
+@pytest.mark.parametrize("section,changes,field", [
+    ("instances", {"origin": "ab"}, "origin"),
+    ("instances", {"origin": [0, "5"]}, "origin"),
+    ("wires", {"track": "ab"}, "track"),
+    ("wires", {"lo": "a", "hi": "b"}, "lo"),
+    ("vias", {"via": "nosuch"}, "via"),
+    ("vias", {"via": ["m1"]}, "via"),
+    ("vias", {"pos": ["a", "b"]}, "pos"),
+    ("rects", {"bbox": ["a", "b", "c", "d"]}, "bbox"),
+], ids=["origin-str", "origin-str-coord", "track-str", "lo-hi-str", "via-unknown", "via-list",
+        "pos-str", "bbox-str"])
+def test_rebuild_rejects_values_that_would_fail_later(finfet, section, changes, field):
+    # Values the geometry takes without complaint; unchecked, they surface as a
+    # bare TypeError or KeyError in check_all or an exporter.
+    doc = read_layout_json(write_layout_json(run_flow("dac", {"bits": 1}, finfet)))
+    entries = doc.data[section]
+    k = next(i for i, e in enumerate(entries) if section != "rects" or e["src"] == "raw")
+    entries[k].update(changes)
+    with pytest.raises(ValidationError, match=rf"^{section}\[{k}\]\.{field}: "):
+        document_to_design(doc, finfet)
+
+
 def test_rebuild_errors_name_the_instance_of_bad_params(finfet):
     doc = read_layout_json(write_layout_json(run_flow("dac", {"bits": 1}, finfet)))
     doc.data["instances"][1]["params"]["nf"] = "one"

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridlay.design import Design, Wire, check_spacing
 from gridlay.errors import (
@@ -9,7 +11,7 @@ from gridlay.errors import (
     NoDummyTemplate,
     NotColorable,
 )
-from gridlay.geometry import Point, Rect
+from gridlay.geometry import Point, Rect, Transform
 from gridlay.grid import OneDimGrid, PlacementGrid, generate_routing_grid
 from gridlay.postprocess import (
     assign_colors,
@@ -18,7 +20,7 @@ from gridlay.postprocess import (
     fill_dummies,
 )
 from gridlay.tech import load_tech
-from gridlay.template import generate
+from gridlay.template import VirtualInstance, generate
 
 BIG = Rect("", Point(0, 0), Point(10 ** 6, 10 ** 6))
 
@@ -295,6 +297,50 @@ def test_fill_partial_region(finfet):
     region = Rect("", Point(0, 0), Point(3 * dummy.size.x, 2 * dummy.size.y))
     added = fill_dummies(d, region)
     assert len(added) == 4
+
+
+def brute_force_free_sites(boxes, pgrid, region):
+    """Every site in row-major order whose cell no box overlaps with positive area."""
+    gx, gy = pgrid.xgrid, pgrid.ygrid
+    free = []
+    j = gy.index_where(">=", region.lo.y)
+    while gy.phys(j) < region.hi.y:
+        i = gx.index_where(">=", region.lo.x)
+        while gx.phys(i) < region.hi.x:
+            x0, x1, y0, y1 = gx.phys(i), gx.phys(i + 1), gy.phys(j), gy.phys(j + 1)
+            if not any(lo.x < x1 and x0 < hi.x and lo.y < y1 and y0 < hi.y for lo, hi in boxes):
+                free.append(Point(x0, y0))
+            i += 1
+        j += 1
+    return free
+
+
+grid_axis = st.integers(5, 40).flatmap(
+    lambda period: st.sets(st.integers(0, period - 1), min_size=1, max_size=4).map(
+        lambda coords: OneDimGrid(period, tuple(sorted(coords)))
+    )
+)
+block = st.tuples(st.integers(-60, 160), st.integers(-60, 160), st.integers(0, 70), st.integers(0, 70))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    xgrid=grid_axis,
+    ygrid=grid_axis,
+    blocks=st.lists(block, max_size=12),
+    region=st.tuples(st.integers(-40, 120), st.integers(-40, 120), st.integers(0, 120), st.integers(0, 120)),
+)
+def test_fill_matches_brute_force_occupancy(finfet, xgrid, ygrid, blocks, region):
+    d = Design("t", finfet)
+    d.pgrid = PlacementGrid(xgrid, ygrid)
+    for x, y, w, h in blocks:
+        d.instances.append(VirtualInstance("blk", {}, Point(x, y), Transform.R0, Point(w, h), (), {}))
+    x, y, w, h = region
+    area = Rect("", Point(x, y), Point(x + w, y + h))
+    want = brute_force_free_sites([vi.bbox() for vi in d.instances], d.pgrid, area)
+    added = fill_dummies(d, area)
+    assert [vi.origin for vi in added] == want
+    assert d.instances[len(blocks):] == added
 
 
 def test_fill_requires_dummy_template(finfet):
