@@ -134,9 +134,8 @@ class Design:
         if has_via:
             name = grid.viamap.get(xy[0], xy[1])
             if name is not None:
-                via = self.tech.vias[name]
-                cut = via.cut_size[0] if axis == "h" else via.cut_size[1]
-                ext = max(ext, cut // 2 + via.enclosure.get(layer, 0))
+                pad = self.tech.vias[name].pad(layer)
+                ext = max(ext, -(pad.lo.x if axis == "h" else pad.lo.y))
         return ext
 
     def route(self, grid: RoutingGrid, waypoints: list[tuple[int, int]]) -> list[Wire]:
@@ -228,20 +227,7 @@ class Design:
 
     def via_rects(self, via: PlacedVia) -> list[Rect]:
         """Cut shape plus the two landing pads of a placed via."""
-        v = self.tech.vias[via.via]
-        cw, ch = v.cut_size
-        p = via.pos
-        out = [
-            Rect(v.cut_layer, Point(p.x - cw // 2, p.y - ch // 2),
-                 Point(p.x - cw // 2 + cw, p.y - ch // 2 + ch))
-        ]
-        for lname in (v.lower, v.upper):
-            e = v.enclosure.get(lname, 0)
-            out.append(
-                Rect(lname, Point(p.x - cw // 2 - e, p.y - ch // 2 - e),
-                     Point(p.x - cw // 2 + cw + e, p.y - ch // 2 + ch + e))
-            )
-        return out
+        return [r.translated(via.pos) for r in self.tech.vias[via.via].rects]
 
     def iter_flat(self) -> Iterator[tuple[Rect, str]]:
         """Flattened geometry with a source tag: inst, wire, via, pin, raw."""

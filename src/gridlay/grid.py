@@ -284,17 +284,15 @@ def overlap_range(g: RoutingGrid, a: Rect, b: Rect) -> IndexWindow | None:
 def _landing_pitch(tech: "TechDB", layer: str, horizontal: bool) -> int:
     """Pitch needed so via landings on adjacent tracks keep min spacing.
 
-    Taken along the axis perpendicular to the track: cut extent plus twice
-    the layer enclosure plus the layer's min spacing; zero when no via
-    touches the layer.
+    Taken along the axis perpendicular to the track: the landing pad's
+    extent plus the layer's min spacing; zero when no via touches the layer.
     """
     best = 0
     for via in tech.vias.values():
         if layer not in (via.lower, via.upper):
             continue
-        cut = via.cut_size[0] if not horizontal else via.cut_size[1]
-        pad = cut + 2 * via.enclosure.get(layer, 0)
-        best = max(best, pad + tech.min_spacing(layer))
+        pad = via.pad(layer)
+        best = max(best, (pad.height if horizontal else pad.width) + tech.min_spacing(layer))
     return best
 
 

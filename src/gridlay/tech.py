@@ -57,7 +57,12 @@ class LayerDef:
 
 @dataclass(frozen=True)
 class ViaDef:
-    """A cut between two routing layers with per-layer landing enclosures."""
+    """A cut between two routing layers with per-layer landing enclosures.
+
+    `rects` holds the cut and the lower and upper landing pads relative to the
+    via center, built once here: a pad is the cut grown by its layer's
+    enclosure (0 for a layer without one) on every side.
+    """
 
     name: str
     lower: str
@@ -65,6 +70,22 @@ class ViaDef:
     cut_layer: str
     cut_size: tuple[int, int]
     enclosure: Mapping[str, int]
+    rects: tuple[Rect, Rect, Rect] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cw, ch = self.cut_size
+        lo = Point(-(cw // 2), -(ch // 2))
+        hi = lo + Point(cw, ch)
+
+        def pad(layer: str) -> Rect:
+            e = self.enclosure.get(layer, 0)
+            return Rect(layer, lo - Point(e, e), hi + Point(e, e))
+
+        object.__setattr__(self, "rects", (Rect(self.cut_layer, lo, hi), pad(self.lower), pad(self.upper)))
+
+    def pad(self, layer: str) -> Rect:
+        """The landing pad on `layer` (one of lower, upper), relative to the center."""
+        return self.rects[1] if layer == self.lower else self.rects[2]
 
 
 @dataclass(frozen=True)
