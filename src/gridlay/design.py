@@ -234,6 +234,10 @@ class Design:
         for vi in self.instances:
             for r in vi.flatten():
                 yield r, "inst"
+        yield from self.iter_top()
+
+    def iter_top(self) -> Iterator[tuple[Rect, str]]:
+        """The design's own shapes, without instance geometry: wire, via, pin, raw."""
         for w in self.wires:
             yield w.rect(), "wire"
         for via in self.vias:

@@ -322,17 +322,10 @@ def design_to_library(d: Design) -> Library:
         )
         structures.append(Structure(sname, tuple(elements)))
 
-    top: list = []
-    boundaries = []
-    for w in d.wires:
-        boundaries.append(_rect_boundary(d, w.rect()))
-    for via in d.vias:
-        boundaries.extend(_rect_boundary(d, r) for r in d.via_rects(via))
-    for pin in d.pins:
-        boundaries.append(_rect_boundary(d, pin.rect()))
-    for r in d.rects:
-        boundaries.append(_rect_boundary(d, r))
-    top.extend(sorted(boundaries, key=lambda b: (b.layer, b.datatype, b.xy)))
+    top: list = sorted(
+        (_rect_boundary(d, r) for r, _ in d.iter_top()),
+        key=lambda b: (b.layer, b.datatype, b.xy),
+    )
 
     srefs = []
     for vi in d.instances:
