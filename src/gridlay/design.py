@@ -94,7 +94,6 @@ class Design:
         self.rects: list[Rect] = []
         self.pgrid: PlacementGrid | None = None
         self.rgrid: RoutingGrid | None = None
-        self.grid_name: str | None = None
 
     # -- editing ------------------------------------------------------------
 

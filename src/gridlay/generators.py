@@ -62,7 +62,6 @@ class Generator:
     def make_grids(self, d: Design) -> None:
         lo, hi = d.instance_bbox()
         d.rgrid = generate_routing_grid(d.tech, d.tech.grid_spec("sig"), Rect("", lo, hi))
-        d.grid_name = "sig"
 
     def route_wires(self, d: Design) -> None:
         raise NotImplementedError
@@ -112,7 +111,7 @@ class DacGenerator(Generator):
 
     def route_wires(self, d: Design) -> None:
         g = d.rgrid
-        spec = d.tech.grid_spec(d.grid_name)
+        spec = d.tech.grid_spec(g.name)
         bits = self.params["bits"]
         n = 2 ** bits
         width = n * self.unit.size.x

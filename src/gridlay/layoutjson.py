@@ -114,7 +114,7 @@ def design_to_document(d: Design) -> LayoutDocument:
         "schema_version": SCHEMA_VERSION,
         "design": d.name,
         "tech": d.tech.name,
-        "grid": d.grid_name,
+        "grid": None if d.rgrid is None else d.rgrid.name,
         "pgrid": (
             None
             if d.pgrid is None
@@ -272,7 +272,6 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
             # rebuild against an ample one.
             region = Rect("", Point(0, 0), Point(1 << 40, 1 << 40))
             d.rgrid = generate_routing_grid(tech, tech.grid_spec(e), region)
-            d.grid_name = e
     except (KeyError, TypeError, ValueError, IndexError, BadParams) as exc:
         raise _entry_error(section, k, e, exc) from exc
     return d
