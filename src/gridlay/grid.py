@@ -203,21 +203,6 @@ class GridSpec:
     xtracks: tuple[TrackSpec, ...]
     ytracks: tuple[TrackSpec, ...]
 
-    @classmethod
-    def from_dict(cls, name: str, d: dict) -> "GridSpec":
-        def tracks(key):
-            return tuple(
-                TrackSpec(
-                    layer=t["layer"],
-                    kind=t.get("kind", "signal"),
-                    wmul=t.get("wmul", 1),
-                    color=t.get("color"),
-                )
-                for t in d.get(key, ())
-            )
-
-        return cls(name=name, xtracks=tracks("xtracks"), ytracks=tracks("ytracks"))
-
 
 @dataclass(frozen=True)
 class RoutingGrid:

@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .errors import ParseError, UnknownLayer, ValidationError
 from .geometry import Point, Rect
-from .grid import GridSpec
+from .grid import GridSpec, TrackSpec
 from .template import (
     DynamicTemplate,
     NativeTemplate,
@@ -241,6 +241,20 @@ def _parse_template(name: str, d: dict):
     )
 
 
+def _parse_grid(name: str, d: dict, layers: Mapping[str, LayerDef]) -> GridSpec:
+    def tracks(key: str) -> tuple[TrackSpec, ...]:
+        out = tuple(
+            TrackSpec(t["layer"], t.get("kind", "signal"), t.get("wmul", 1), t.get("color"))
+            for t in d.get(key, ())
+        )
+        for t in out:
+            if t.layer not in layers:
+                raise ValidationError(f"grid {name}: unknown layer {t.layer!r}")
+        return out
+
+    return GridSpec(name, tracks("xtracks"), tracks("ytracks"))
+
+
 def load_tech(text: str | bytes) -> TechDB:
     """Parse and validate a technology document.
 
@@ -296,13 +310,9 @@ def load_tech(text: str | bytes) -> TechDB:
         for tname, tdef in doc.get("templates", {}).items()
     }
     grids = {
-        gname: GridSpec.from_dict(gname, gdef)
+        gname: _parse_grid(gname, gdef, layers)
         for gname, gdef in doc.get("grids", {}).items()
     }
-    for spec in grids.values():
-        for t in spec.xtracks + spec.ytracks:
-            if t.layer not in layers:
-                raise ValidationError(f"grid {spec.name}: unknown layer {t.layer!r}")
 
     return TechDB(
         name=name,
