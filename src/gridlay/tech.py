@@ -9,6 +9,7 @@ gridlay/techs) so everything is reproducible without a proprietary PDK.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -135,10 +136,45 @@ class TechDB:
         return spec
 
 
+@contextmanager
+def _entry(where: str):
+    """Report the Python error a malformed entry raises while it is parsed as
+    a ValidationError naming the entry, and the field if one is missing."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 def _need(d: dict, key: str, where: str):
     if key not in d:
         raise ValidationError(f"{where}: missing field {key!r}")
     return d[key]
+
+
+def _section(doc: dict, key: str, kind: type):
+    value = doc.get(key, kind())
+    if not isinstance(value, kind):
+        what = "an array" if kind is list else "an object"
+        raise ValidationError(f"tech.{key}: must be {what}, got {value!r}")
+    return value
+
+
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: must be a string, got {value!r}")
+    return value
+
+
+def _ints(value, n: int, where: str) -> list[int]:
+    if not (
+        isinstance(value, list) and len(value) == n
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    ):
+        raise ValidationError(f"{where}: must be a list of {n} integers, got {value!r}")
+    return value
 
 
 def _pos_int(value, where: str) -> int:
@@ -153,49 +189,59 @@ def _nonneg_int(value, where: str) -> int:
     return value
 
 
-def _parse_layer(d: dict) -> LayerDef:
-    name = _need(d, "name", "layer")
+def _parse_layer(d: dict, at: str) -> LayerDef:
+    name = _str(d["name"], f"{at}.name")
     where = f"layer {name}"
-    gds = _need(d, "gds", where)
-    if not (isinstance(gds, list) and len(gds) == 2):
-        raise ValidationError(f"{where}: gds must be [layer, datatype]")
+    gds_layer, gds_datatype = _ints(d["gds"], 2, f"{where}.gds")
     cut = None
-    if "cut" in d and d["cut"] is not None:
+    if d.get("cut") is not None:
         c = d["cut"]
         cwhere = f"{where}.cut"
         cut = CutRule(
-            cut_layer=_need(c, "layer", cwhere),
-            cut_width=_pos_int(_need(c, "width", cwhere), f"{cwhere}.width"),
-            cut_length=_pos_int(_need(c, "length", cwhere), f"{cwhere}.length"),
-            spacing_threshold=_pos_int(
-                _need(c, "spacing_threshold", cwhere), f"{cwhere}.spacing_threshold"
-            ),
-            end_margin=_pos_int(_need(c, "end_margin", cwhere), f"{cwhere}.end_margin"),
+            cut_layer=_str(c["layer"], f"{cwhere}.layer"),
+            cut_width=_pos_int(c["width"], f"{cwhere}.width"),
+            cut_length=_pos_int(c["length"], f"{cwhere}.length"),
+            spacing_threshold=_pos_int(c["spacing_threshold"], f"{cwhere}.spacing_threshold"),
+            end_margin=_pos_int(c["end_margin"], f"{cwhere}.end_margin"),
         )
         if cut.cut_width > cut.spacing_threshold:
             raise ValidationError(f"{cwhere}: width exceeds spacing_threshold")
+    colorable = d.get("colorable", False)
+    if not isinstance(colorable, bool):
+        raise ValidationError(f"{where}.colorable: must be true or false, got {colorable!r}")
     return LayerDef(
         name=name,
-        gds_layer=_nonneg_int(gds[0], f"{where}.gds[0]"),
-        gds_datatype=_nonneg_int(gds[1], f"{where}.gds[1]"),
-        min_width=_pos_int(_need(d, "min_width", where), f"{where}.min_width"),
-        min_spacing=_pos_int(_need(d, "min_spacing", where), f"{where}.min_spacing"),
+        gds_layer=_nonneg_int(gds_layer, f"{where}.gds[0]"),
+        gds_datatype=_nonneg_int(gds_datatype, f"{where}.gds[1]"),
+        min_width=_pos_int(d["min_width"], f"{where}.min_width"),
+        min_spacing=_pos_int(d["min_spacing"], f"{where}.min_spacing"),
         min_area=_nonneg_int(d.get("min_area", 0), f"{where}.min_area"),
-        colorable=bool(d.get("colorable", False)),
+        colorable=colorable,
         cut=cut,
     )
 
 
-def _parse_rect(e: dict, where: str) -> Rect:
-    box = _need(e, "rect", where)
-    if not (isinstance(box, list) and len(box) == 4):
-        raise ValidationError(f"{where}: rect must be [x0, y0, x1, y1]")
-    return Rect(
-        _need(e, "layer", where),
-        Point(box[0], box[1]),
-        Point(box[2], box[3]),
-        e.get("purpose", "drawing"),
+def _parse_via(d: dict, at: str, layers: Mapping[str, LayerDef]) -> ViaDef:
+    name = _str(d["name"], f"{at}.name")
+    where = f"via {name}"
+    size = _ints(d["cut_size"], 2, f"{where}.cut_size")
+    via = ViaDef(
+        name=name,
+        lower=_str(d["lower"], f"{where}.lower"),
+        upper=_str(d["upper"], f"{where}.upper"),
+        cut_layer=_str(d["cut_layer"], f"{where}.cut_layer"),
+        cut_size=(_pos_int(size[0], f"{where}.cut_size[0]"), _pos_int(size[1], f"{where}.cut_size[1]")),
+        enclosure={k: _nonneg_int(v, f"{where}.enclosure.{k}") for k, v in d["enclosure"].items()},
     )
+    for lname in (via.lower, via.upper, via.cut_layer):
+        if lname not in layers:
+            raise ValidationError(f"{where}: references unknown layer {lname!r}")
+    return via
+
+
+def _parse_rect(e: dict, where: str) -> Rect:
+    x0, y0, x1, y1 = _ints(e["rect"], 4, f"{where}.rect")
+    return Rect(_str(e["layer"], f"{where}.layer"), Point(x0, y0), Point(x1, y1), e.get("purpose", "drawing"))
 
 
 def _parse_pins(d: dict, where: str) -> dict[str, PinDef]:
@@ -209,7 +255,7 @@ def _parse_pins(d: dict, where: str) -> dict[str, PinDef]:
 def _parse_param_schema(d: dict, where: str) -> dict[str, ParamSpec]:
     schema = {}
     for pname, p in d.items():
-        ptype = _need(p, "type", f"{where}.{pname}")
+        ptype = p["type"]
         if ptype not in ("int", "str", "bool"):
             raise ValidationError(f"{where}.{pname}: unknown type {ptype!r}")
         schema[pname] = ParamSpec(
@@ -224,12 +270,12 @@ def _parse_param_schema(d: dict, where: str) -> dict[str, ParamSpec]:
 
 def _parse_template(name: str, d: dict):
     where = f"template {name}"
-    kind = _need(d, "kind", where)
+    kind = _str(d["kind"], f"{where}.kind")
     if kind == "native":
-        size = _need(d, "size", where)
+        sx, sy = _ints(d["size"], 2, f"{where}.size")
         return NativeTemplate(
             name=name,
-            size=Point(size[0], size[1]),
+            size=Point(sx, sy),
             pins=_parse_pins(d.get("pins", {}), where),
             geometry=tuple(_parse_rect(e, where) for e in d.get("geometry", ())),
         )
@@ -242,15 +288,17 @@ def _parse_template(name: str, d: dict):
 
 
 def _parse_grid(name: str, d: dict, layers: Mapping[str, LayerDef]) -> GridSpec:
+    where = f"grid {name}"
+
     def tracks(key: str) -> tuple[TrackSpec, ...]:
-        out = tuple(
-            TrackSpec(t["layer"], t.get("kind", "signal"), t.get("wmul", 1), t.get("color"))
-            for t in d.get(key, ())
-        )
-        for t in out:
-            if t.layer not in layers:
-                raise ValidationError(f"grid {name}: unknown layer {t.layer!r}")
-        return out
+        out = []
+        for i, t in enumerate(d.get(key, ())):
+            at = f"{where}.{key}[{i}]"
+            layer = _str(t["layer"], f"{at}.layer")
+            if layer not in layers:
+                raise ValidationError(f"{at}: unknown layer {layer!r}")
+            out.append(TrackSpec(layer, t.get("kind", "signal"), _pos_int(t.get("wmul", 1), f"{at}.wmul"), t.get("color")))
+        return tuple(out)
 
     return GridSpec(name, tracks("xtracks"), tracks("ytracks"))
 
@@ -259,20 +307,24 @@ def load_tech(text: str | bytes) -> TechDB:
     """Parse and validate a technology document.
 
     Loading is a pure function of the document bytes; every invariant is
-    enforced here so the rest of the engine can trust the database.
+    enforced here so the rest of the engine can trust the database. A
+    malformed document raises ParseError or ValidationError, the latter
+    naming the layer, via, template or grid entry at fault.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"tech document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("tech document must be a JSON object")
-    name = _need(doc, "name", "tech")
+    name = _str(_need(doc, "name", "tech"), "tech.name")
     unit_nm = _pos_int(doc.get("unit_nm", 1), "tech.unit_nm")
+    _need(doc, "layers", "tech")
 
     layers: dict[str, LayerDef] = {}
-    for entry in _need(doc, "layers", "tech"):
-        layer = _parse_layer(entry)
+    for k, entry in enumerate(_section(doc, "layers", list)):
+        with _entry(f"layers[{k}]"):
+            layer = _parse_layer(entry, f"layers[{k}]")
         if layer.name in layers:
             raise ValidationError(f"duplicate layer {layer.name!r}")
         layers[layer.name] = layer
@@ -283,36 +335,21 @@ def load_tech(text: str | bytes) -> TechDB:
             )
 
     vias: dict[str, ViaDef] = {}
-    for entry in doc.get("vias", ()):
-        vname = _need(entry, "name", "via")
-        where = f"via {vname}"
-        size = _need(entry, "cut_size", where)
-        via = ViaDef(
-            name=vname,
-            lower=_need(entry, "lower", where),
-            upper=_need(entry, "upper", where),
-            cut_layer=_need(entry, "cut_layer", where),
-            cut_size=(_pos_int(size[0], f"{where}.cut_size[0]"), _pos_int(size[1], f"{where}.cut_size[1]")),
-            enclosure={
-                k: _nonneg_int(v, f"{where}.enclosure.{k}")
-                for k, v in _need(entry, "enclosure", where).items()
-            },
-        )
-        for lname in (via.lower, via.upper, via.cut_layer):
-            if lname not in layers:
-                raise ValidationError(f"{where}: references unknown layer {lname!r}")
-        if vname in vias:
-            raise ValidationError(f"duplicate via {vname!r}")
-        vias[vname] = via
+    for k, entry in enumerate(_section(doc, "vias", list)):
+        with _entry(f"vias[{k}]"):
+            via = _parse_via(entry, f"vias[{k}]", layers)
+        if via.name in vias:
+            raise ValidationError(f"duplicate via {via.name!r}")
+        vias[via.name] = via
 
-    templates = {
-        tname: _parse_template(tname, tdef)
-        for tname, tdef in doc.get("templates", {}).items()
-    }
-    grids = {
-        gname: _parse_grid(gname, gdef, layers)
-        for gname, gdef in doc.get("grids", {}).items()
-    }
+    templates = {}
+    for tname, tdef in _section(doc, "templates", dict).items():
+        with _entry(f"template {tname}"):
+            templates[tname] = _parse_template(tname, tdef)
+    grids = {}
+    for gname, gdef in _section(doc, "grids", dict).items():
+        with _entry(f"grid {gname}"):
+            grids[gname] = _parse_grid(gname, gdef, layers)
 
     return TechDB(
         name=name,
@@ -328,9 +365,8 @@ def load_tech_file(path_or_name: str | Path) -> TechDB:
     """Load a tech from a filesystem path or a bundled fixture name."""
     p = Path(path_or_name)
     if p.exists():
-        return load_tech(p.read_text())
+        return load_tech(p.read_bytes())
     stem = p.stem
     if stem in BUNDLED_TECHS:
-        data = resources.files("gridlay").joinpath(f"techs/{stem}.json").read_text()
-        return load_tech(data)
+        return load_tech(resources.files("gridlay").joinpath(f"techs/{stem}.json").read_bytes())
     raise ParseError(f"no such tech file or bundled tech: {path_or_name}")

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -218,6 +219,23 @@ def test_postprocess_rejects_unknown_pass(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["postprocess", "--pass", "polish", "--in", "x", "--out", "y"])
     assert err.value.code == 2
+
+
+def _bad_track_kind() -> bytes:
+    doc = json.loads(resources.files("gridlay").joinpath("techs/mock_finfet.json").read_text())
+    doc["grids"]["sig"]["ytracks"][0]["kind"] = "bogus"
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("data", [_bad_track_kind(), b'{"name": "m\xff"}'],
+                         ids=["track-kind", "non-utf8"])
+def test_gen_with_malformed_tech_exits_1(tmp_path, capsys, data):
+    tech = tmp_path / "bad.json"
+    tech.write_bytes(data)
+    rc = run(["gen", "--tech", str(tech), "--generator", "dac", "--out", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_gen_accepts_json_suffixed_bundled_name(tmp_path):

@@ -2,9 +2,11 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridlay.errors import ParseError, UnknownLayer, ValidationError
-from gridlay.tech import load_tech, load_tech_file
+from gridlay.errors import LayoutError, ParseError, UnknownLayer, ValidationError
+from gridlay.tech import BUNDLED_TECHS, load_tech, load_tech_file
 from gridlay.template import DynamicTemplate, NativeTemplate
 
 
@@ -148,3 +150,118 @@ def test_parse_error_on_bad_json():
 def test_load_tech_file_unknown():
     with pytest.raises(ParseError):
         load_tech_file("no_such_tech")
+
+
+# -- malformed documents -------------------------------------------------------
+
+# (path into mock_finfet, value put there, what the ValidationError must name)
+BAD_VALUES = [
+    (("grids", "sig", "ytracks", 0, "kind"), "bogus", "grid sig"),
+    (("grids", "sig", "ytracks", 2, "wmul"), 0, "grid sig.ytracks[2].wmul"),
+    (("vias", 0, "cut_size"), [4], "via v12.cut_size"),
+    (("vias", 0, "enclosure"), [2, 4], "vias[0]"),
+    (("templates", "scan_core", "pins"), [], "template scan_core"),
+    (("templates",), [], "tech.templates"),
+    (("grids",), [], "tech.grids"),
+    (("templates", "scan_core", "size"), "ab", "template scan_core.size"),
+    (("templates", "dummy", "geometry", 0, "rect"), ["0", "0", "9", "9"], "template dummy.rect"),
+    (("templates", "dummy", "geometry", 0, "purpose"), "bogus", "template dummy"),
+    (("layers", 0), 5, "layers[0]"),
+    (("layers", 6, "cut"), 3, "layers[6]"),
+    (("templates", "mos", "params", "vth", "choices"), 3, "template mos"),
+    (("layers", 6, "colorable"), "no", "layer m1.colorable"),
+    (("layers", 6, "min_width"), None, "layer m1.min_width"),
+]
+
+
+def finfet_doc() -> dict:
+    return json.loads(fixture_text("mock_finfet"))
+
+
+def node_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path,value,names", BAD_VALUES, ids=[".".join(map(str, p)) for p, _, _ in BAD_VALUES]
+)
+def test_malformed_entry_is_a_validation_error_naming_it(path, value, names):
+    doc = finfet_doc()
+    node_at(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(ValidationError) as err:
+        load_tech(json.dumps(doc))
+    assert names in str(err.value)
+
+
+@pytest.mark.parametrize("path,field", [
+    (("layers", 6), "min_spacing"),
+    (("layers", 6, "cut"), "end_margin"),
+    (("vias", 1), "enclosure"),
+    (("templates", "scan_core"), "size"),
+    (("grids", "sig", "xtracks", 0), "layer"),
+])
+def test_missing_field_is_named(path, field):
+    doc = finfet_doc()
+    del node_at(doc, path)[field]
+    with pytest.raises(ValidationError, match=f"missing field '{field}'"):
+        load_tech(json.dumps(doc))
+
+
+def test_undecodable_bytes_are_a_parse_error(tmp_path):
+    data = fixture_text("mock_finfet").encode().replace(b'"m1"', b'"m\xff1"', 1)
+    with pytest.raises(ParseError):
+        load_tech(data)
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError):
+        load_tech_file(path)
+
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SWAPS = (None, True, 0, -1, 2.5, "bogus", "", [], [0, 0, 0], {}, {"x": 1})
+
+
+def mutate(doc, steps: list[int], swap: int | None) -> None:
+    """Walk down `steps` (each picks a key or index, modulo the size) and
+    delete or swap the value where the walk stops: at its last step, or
+    where the next value is no object or array to descend into."""
+    node = doc
+    for depth, step in enumerate(steps):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        if not keys:
+            return
+        key = keys[step % len(keys)]
+        child = node[key]
+        if depth == len(steps) - 1 or not (isinstance(child, (dict, list)) and child):
+            if swap is not None:
+                node[key] = SWAPS[swap]
+            elif isinstance(node, dict):
+                del node[key]
+            else:
+                node.pop(key)
+            return
+        node = child
+
+
+@FUZZ
+@given(
+    name=st.sampled_from(BUNDLED_TECHS),
+    mutations=st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 1 << 10), min_size=1, max_size=6),
+            st.one_of(st.none(), st.integers(0, len(SWAPS) - 1)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_tech_loader_fails_only_with_layout_errors(name, mutations):
+    doc = json.loads(fixture_text(name))
+    for steps, swap in mutations:
+        mutate(doc, steps, swap)
+    try:
+        load_tech(json.dumps(doc))
+    except LayoutError:
+        pass
