@@ -2,10 +2,12 @@ import pytest
 
 from gridlay.design import check_all
 from gridlay.errors import BadParams, UnknownGenerator
-from gridlay.flow import run_flow
+from gridlay.flow import FlowFlags, run_flow
 from gridlay.gds import write_gds
-from gridlay.generators import generator_specs, get_generator
+from gridlay.generators import Generator, generator_specs, get_generator
+from gridlay.grid import OneDimGrid, PlacementGrid
 from gridlay.layoutjson import design_to_document, write_layout_json
+from gridlay.template import generate
 
 
 def units_of(d, master):
@@ -131,3 +133,37 @@ def test_instance_records_reference_templates(finfet):
     doc = design_to_document(d)
     for e in doc.data["instances"]:
         assert e["master"] in finfet.templates
+
+
+class EveryOtherSite(Generator):
+    """`n` mos cells on every other site of one row: the row keeps n - 1 free sites."""
+
+    name = "every_other_site"
+
+    def build_instances(self, d):
+        self.cell = generate(d.tech.template("mos"), {"nf": 1}, d.tech)
+
+    def place_instances(self, d):
+        d.pgrid = PlacementGrid(OneDimGrid(self.cell.size.x, (0,)), OneDimGrid(self.cell.size.y, (0,)))
+        for k in range(self.params["n"]):
+            d.place(self.cell, d.pgrid, (2 * k, 0))
+
+    def route_wires(self, d):
+        pass
+
+    def add_pins(self, d):
+        pass
+
+
+@pytest.mark.parametrize("tech", ["finfet", "planar"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_run_flow_fills_the_free_sites_with_dummies(request, tech, n):
+    tech = request.getfixturevalue(tech)
+    d = run_flow(EveryOtherSite({"n": n}), {}, tech)
+    w = d.instances[0].size.x
+    dummies = sorted(vi.origin.x for vi in units_of(d, "dummy"))
+    assert dummies == [(2 * k + 1) * w for k in range(n - 1)]
+    assert all(vi.origin.y == 0 for vi in d.instances)
+
+    bare = run_flow(EveryOtherSite({"n": n}), {}, tech, FlowFlags(dummies=False))
+    assert [vi.master for vi in bare.instances] == ["mos"] * n
