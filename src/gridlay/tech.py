@@ -82,7 +82,8 @@ class ViaDef:
             e = self.enclosure.get(layer, 0)
             return Rect(layer, lo - Point(e, e), hi + Point(e, e))
 
-        object.__setattr__(self, "rects", (Rect(self.cut_layer, lo, hi), pad(self.lower), pad(self.upper)))
+        cut = Rect(self.cut_layer, lo, hi)
+        object.__setattr__(self, "rects", (cut, pad(self.lower), pad(self.upper)))
 
     def pad(self, layer: str) -> Rect:
         """The landing pad on `layer` (one of lower, upper), relative to the center."""
@@ -224,13 +225,13 @@ def _parse_layer(d: dict, at: str) -> LayerDef:
 def _parse_via(d: dict, at: str, layers: Mapping[str, LayerDef]) -> ViaDef:
     name = _str(d["name"], f"{at}.name")
     where = f"via {name}"
-    size = _ints(d["cut_size"], 2, f"{where}.cut_size")
+    cw, ch = _ints(d["cut_size"], 2, f"{where}.cut_size")
     via = ViaDef(
         name=name,
         lower=_str(d["lower"], f"{where}.lower"),
         upper=_str(d["upper"], f"{where}.upper"),
         cut_layer=_str(d["cut_layer"], f"{where}.cut_layer"),
-        cut_size=(_pos_int(size[0], f"{where}.cut_size[0]"), _pos_int(size[1], f"{where}.cut_size[1]")),
+        cut_size=(_pos_int(cw, f"{where}.cut_size[0]"), _pos_int(ch, f"{where}.cut_size[1]")),
         enclosure={k: _nonneg_int(v, f"{where}.enclosure.{k}") for k, v in d["enclosure"].items()},
     )
     for lname in (via.lower, via.upper, via.cut_layer):
@@ -241,7 +242,8 @@ def _parse_via(d: dict, at: str, layers: Mapping[str, LayerDef]) -> ViaDef:
 
 def _parse_rect(e: dict, where: str) -> Rect:
     x0, y0, x1, y1 = _ints(e["rect"], 4, f"{where}.rect")
-    return Rect(_str(e["layer"], f"{where}.layer"), Point(x0, y0), Point(x1, y1), e.get("purpose", "drawing"))
+    layer = _str(e["layer"], f"{where}.layer")
+    return Rect(layer, Point(x0, y0), Point(x1, y1), e.get("purpose", "drawing"))
 
 
 def _parse_pins(d: dict, where: str) -> dict[str, PinDef]:
@@ -297,7 +299,8 @@ def _parse_grid(name: str, d: dict, layers: Mapping[str, LayerDef]) -> GridSpec:
             layer = _str(t["layer"], f"{at}.layer")
             if layer not in layers:
                 raise ValidationError(f"{at}: unknown layer {layer!r}")
-            out.append(TrackSpec(layer, t.get("kind", "signal"), _pos_int(t.get("wmul", 1), f"{at}.wmul"), t.get("color")))
+            wmul = _pos_int(t.get("wmul", 1), f"{at}.wmul")
+            out.append(TrackSpec(layer, t.get("kind", "signal"), wmul, t.get("color")))
         return tuple(out)
 
     return GridSpec(name, tracks("xtracks"), tracks("ytracks"))
