@@ -170,10 +170,7 @@ def _str(value, where: str) -> str:
 
 
 def _ints(value, n: int, where: str) -> list[int]:
-    if not (
-        isinstance(value, list) and len(value) == n
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
+    if not (isinstance(value, list) and len(value) == n and all(type(v) is int for v in value)):
         raise ValidationError(f"{where}: must be a list of {n} integers, got {value!r}")
     return value
 
