@@ -38,6 +38,7 @@ from .grid import (
     OneDimGrid,
     PlacementGrid,
     RoutingGrid,
+    Track,
     TrackSpec,
     generate_routing_grid,
     overlap_range,

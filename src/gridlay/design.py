@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import DuplicatePin, MissingVia, NonRectilinear, UnknownLayer, UnknownWire
 from .geometry import Point, Rect, Transform, bbox_of
-from .grid import PlacementGrid, RoutingGrid
+from .grid import PlacementGrid, RoutingGrid, Track
 from .template import VirtualInstance
 
 if TYPE_CHECKING:
@@ -126,23 +126,11 @@ class Design:
         self.vias.append(via)
         return via
 
-    def _end_extension(self, grid: RoutingGrid, layer: str, width: int,
-                       xy: tuple[int, int], has_via: bool, axis: str) -> int:
-        # Square end cap at minimum; a via landing may need more.
-        ext = width // 2
-        if has_via:
-            name = grid.viamap.get(xy[0], xy[1])
-            if name is not None:
-                pad = self.tech.vias[name].pad(layer)
-                ext = max(ext, -(pad.lo.x if axis == "h" else pad.lo.y))
-        return ext
-
     def route(self, grid: RoutingGrid, waypoints: list[tuple[int, int]]) -> list[Wire]:
         """Route a rectilinear path along grid tracks.
 
         One wire per segment, taking layer and width from the segment's
-        track; a via is placed at every direction change and wherever the
-        layer changes at a straight intermediate waypoint. Wire extents reach
+        track; a via is placed at every direction change. Wire extents reach
         the end track centers plus the via landing (or a square end cap).
         """
         if len(waypoints) < 2:
@@ -160,41 +148,31 @@ class Design:
         if not segs:
             raise NonRectilinear("path has zero length")
 
-        def seg_layer(seg):
-            a, _, axis = seg
-            return grid.hlayer.get(a[1]) if axis == "h" else grid.vlayer.get(a[0])
+        # Consecutive segments on one axis share a row or column, so a track:
+        # only a direction change can change the layer.
+        vias = {
+            s2[0]: self.add_via(grid, s2[0]) for s1, s2 in zip(segs, segs[1:]) if s1[2] != s2[2]
+        }
 
-        # Vias at direction or layer changes between consecutive segments.
-        via_points: list[tuple[int, int]] = []
-        for s1, s2 in zip(segs, segs[1:]):
-            if s1[2] != s2[2] or seg_layer(s1) != seg_layer(s2):
-                via_points.append(s2[0])
-        for xy in via_points:
-            self.add_via(grid, xy)
+        def reach(t: Track, axis: str, end: tuple[int, int]) -> int:
+            # Square end cap at minimum; a via landing may need more.
+            via = vias.get(end)
+            if via is None:
+                return t.width // 2
+            pad = self.tech.vias[via.via].pad(t.layer)
+            return max(t.width // 2, -(pad.lo.x if axis == "h" else pad.lo.y))
 
-        via_set = set(via_points)
         wires: list[Wire] = []
         for a, b, axis in segs:
+            # i: the waypoint coordinate that runs along the wire
             if axis == "h":
-                layer = grid.hlayer.get(a[1])
-                width = grid.hwidth.get(a[1])
-                track = grid.ygrid.phys(a[1])
-                p0, p1 = sorted((grid.xgrid.phys(a[0]), grid.xgrid.phys(b[0])))
+                t, track, along, i = grid.ytracks.get(a[1]), grid.ygrid.phys(a[1]), grid.xgrid, 0
             else:
-                layer = grid.vlayer.get(a[0])
-                width = grid.vwidth.get(a[0])
-                track = grid.xgrid.phys(a[0])
-                p0, p1 = sorted((grid.ygrid.phys(a[1]), grid.ygrid.phys(b[1])))
-            # extension per end: look up the waypoint sitting at that end
-            end_lo, end_hi = a, b
-            if (axis == "h" and a[0] > b[0]) or (axis == "v" and a[1] > b[1]):
-                end_lo, end_hi = b, a
-            e0 = self._end_extension(grid, layer, width, end_lo, end_lo in via_set, axis)
-            e1 = self._end_extension(grid, layer, width, end_hi, end_hi in via_set, axis)
-            wires.append(
-                self.add_wire(Wire(layer=layer, axis=axis, track=track,
-                                   lo=p0 - e0, hi=p1 + e1, width=width))
-            )
+                t, track, along, i = grid.xtracks.get(a[0]), grid.xgrid.phys(a[0]), grid.ygrid, 1
+            lo, hi = (a, b) if a[i] < b[i] else (b, a)
+            wire = Wire(t.layer, axis, track, along.phys(lo[i]) - reach(t, axis, lo),
+                        along.phys(hi[i]) + reach(t, axis, hi), t.width)
+            wires.append(self.add_wire(wire))
         return wires
 
     def add_pin(self, name: str, net: str, wire: Wire) -> Pin:

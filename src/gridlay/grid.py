@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import InfeasibleSpec, NotOnGrid, UnknownLayer
@@ -205,37 +206,40 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class RoutingGrid:
-    """Periodic x/y track grids with per-track attributes.
+class Track:
+    """One realized track: the layer, width and patterning color of its wires."""
 
-    x tracks carry vertical wires (vlayer/vwidth/xcolor), y tracks horizontal
-    ones. viamap holds the via-definition name for every (x track, y track)
-    intersection, or None where the layer pair has no via.
+    layer: str
+    width: int
+    color: str | None = None
+
+    def __post_init__(self):
+        if self.width <= 0:
+            raise ValueError("track widths must be positive")
+
+
+@dataclass(frozen=True)
+class RoutingGrid:
+    """Periodic x/y track grids with one Track record per coordinate.
+
+    x tracks carry vertical wires, y tracks horizontal ones. viamap holds the
+    via-definition name for every (x track, y track) intersection, or None
+    where the layer pair has no via.
     """
 
     name: str
     xgrid: OneDimGrid
     ygrid: OneDimGrid
-    vlayer: CircularMapping
-    hlayer: CircularMapping
-    vwidth: CircularMapping
-    hwidth: CircularMapping
-    xcolor: CircularMapping
-    ycolor: CircularMapping
+    xtracks: CircularMapping
+    ytracks: CircularMapping
     viamap: CircularMappingArray
 
     def __post_init__(self):
-        nx, ny = len(self.xgrid), len(self.ygrid)
-        for attr, n in (
-            ("vlayer", nx), ("vwidth", nx), ("xcolor", nx),
-            ("hlayer", ny), ("hwidth", ny), ("ycolor", ny),
-        ):
-            if len(getattr(self, attr)) != n:
-                raise ValueError(f"{attr} length does not match its axis")
-        if self.viamap.shape != (nx, ny):
+        shape = (len(self.xgrid), len(self.ygrid))
+        if (len(self.xtracks), len(self.ytracks)) != shape:
+            raise ValueError("track records do not match their axes")
+        if self.viamap.shape != shape:
             raise ValueError("viamap shape does not match the axes")
-        if any(w <= 0 for w in self.vwidth.elements + self.hwidth.elements):
-            raise ValueError("track widths must be positive")
 
 
 @dataclass(frozen=True)
@@ -282,42 +286,27 @@ def _landing_pitch(tech: "TechDB", layer: str, horizontal: bool) -> int:
 
 
 def _build_axis(
-    tech: "TechDB", tracks: tuple[TrackSpec, ...], horizontal: bool
-) -> tuple[OneDimGrid, list[str], list[int], list[str | None]]:
-    if not tracks:
+    tech: "TechDB", specs: tuple[TrackSpec, ...], horizontal: bool
+) -> tuple[OneDimGrid, list[Track]]:
+    if not specs:
         raise InfeasibleSpec("empty track pattern")
     pitches: list[int] = []
-    widths: list[int] = []
-    layers: list[str] = []
-    colors: list[str | None] = []
-    for k, t in enumerate(tracks):
+    tracks: list[Track] = []
+    for k, t in enumerate(specs):
         rule = tech.layer(t.layer)
         width = rule.min_width * (t.wmul if t.kind == "power" else 1)
         pitch = max(width + rule.min_spacing, _landing_pitch(tech, t.layer, horizontal))
-        if pitch % 2:
-            pitch += 1  # keep slot centers integral
-        pitches.append(pitch)
-        widths.append(width)
-        layers.append(t.layer)
-        if t.color == "none":
-            colors.append(None)
-        elif t.color is not None:
-            colors.append(t.color if rule.colorable else None)
-        elif rule.colorable:
-            colors.append("A" if k % 2 == 0 else "B")
+        pitches.append(pitch + pitch % 2)  # keep slot centers integral
+        if not rule.colorable or t.color == "none":
+            color = None
         else:
-            colors.append(None)
-    period = sum(pitches)
+            color = t.color or "AB"[k % 2]
+        tracks.append(Track(t.layer, width, color))
     # Center each track in its pitch slot, then shift the pattern so the
     # first track sits at coordinate 0.
-    centers = []
-    cursor = 0
-    for p in pitches:
-        centers.append(cursor + p // 2)
-        cursor += p
-    shift = centers[0]
-    coords = tuple(c - shift for c in centers)
-    return OneDimGrid(period=period, coords=coords), layers, widths, colors
+    starts = accumulate(pitches, initial=-(pitches[0] // 2))
+    coords = tuple(s + p // 2 for s, p in zip(starts, pitches))
+    return OneDimGrid(period=sum(pitches), coords=coords), tracks
 
 
 def generate_routing_grid(tech: "TechDB", spec: GridSpec, region: Rect) -> RoutingGrid:
@@ -334,8 +323,8 @@ def generate_routing_grid(tech: "TechDB", spec: GridSpec, region: Rect) -> Routi
             raise UnknownLayer(t.layer)
     if region.width <= 0 or region.height <= 0:
         raise InfeasibleSpec("empty region")
-    xgrid, vlayers, vwidths, xcolors = _build_axis(tech, spec.xtracks, horizontal=False)
-    ygrid, hlayers, hwidths, ycolors = _build_axis(tech, spec.ytracks, horizontal=True)
+    xgrid, xtracks = _build_axis(tech, spec.xtracks, horizontal=False)
+    ygrid, ytracks = _build_axis(tech, spec.ytracks, horizontal=True)
     if xgrid.period > region.width or ygrid.period > region.height:
         raise InfeasibleSpec(
             f"pattern cycle {xgrid.period}x{ygrid.period} exceeds region "
@@ -344,21 +333,12 @@ def generate_routing_grid(tech: "TechDB", spec: GridSpec, region: Rect) -> Routi
     viamap = CircularMappingArray(
         [
             [
-                (v.name if (v := tech.via_between(vl, hl)) is not None else None)
-                for hl in hlayers
+                (v.name if (v := tech.via_between(xt.layer, yt.layer)) is not None else None)
+                for yt in ytracks
             ]
-            for vl in vlayers
+            for xt in xtracks
         ]
     )
     return RoutingGrid(
-        name=spec.name,
-        xgrid=xgrid,
-        ygrid=ygrid,
-        vlayer=CircularMapping(vlayers),
-        hlayer=CircularMapping(hlayers),
-        vwidth=CircularMapping(vwidths),
-        hwidth=CircularMapping(hwidths),
-        xcolor=CircularMapping(xcolors),
-        ycolor=CircularMapping(ycolors),
-        viamap=viamap,
+        spec.name, xgrid, ygrid, CircularMapping(xtracks), CircularMapping(ytracks), viamap
     )

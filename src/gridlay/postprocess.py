@@ -124,23 +124,19 @@ def assign_colors(d: Design, layer: str, offset: int = 0) -> list[Wire]:
     g = d.rgrid
     if g is None:
         raise LayoutError("design has no routing grid to color against")
+    axes = {"v": (g.xgrid, g.xtracks), "h": (g.ygrid, g.ytracks)}
     colored: list[Wire] = []
     for w in d.wires:
         if w.layer != layer:
             continue
+        grid, tracks = axes[w.axis]
         try:
-            if w.axis == "v":
-                idx = g.xgrid.index_where("==", w.track)
-                if g.vlayer.get(idx) != layer:
-                    continue
-                w.color = g.xcolor.get(idx + offset)
-            else:
-                idx = g.ygrid.index_where("==", w.track)
-                if g.hlayer.get(idx) != layer:
-                    continue
-                w.color = g.ycolor.get(idx + offset)
+            idx = grid.index_where("==", w.track)
         except NotOnGrid:
             continue
+        if tracks.get(idx).layer != layer:
+            continue
+        w.color = tracks.get(idx + offset).color
         if w.color is not None:
             colored.append(w)
     return colored

@@ -67,8 +67,8 @@ def test_route_single_segment(finfet, sig_grid):
     assert len(wires) == 1 and len(d.vias) == 0
     w = wires[0]
     assert w.axis == "h"
-    assert w.layer == sig_grid.hlayer.get(0)
-    assert w.width == sig_grid.hwidth.get(0)
+    assert w.layer == sig_grid.ytracks.get(0).layer
+    assert w.width == sig_grid.ytracks.get(0).width
     assert w.track == sig_grid.ygrid.phys(0)
 
 

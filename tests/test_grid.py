@@ -10,6 +10,7 @@ from gridlay.grid import (
     GridSpec,
     OneDimGrid,
     RoutingGrid,
+    Track,
     TrackSpec,
     generate_routing_grid,
     overlap_range,
@@ -192,12 +193,8 @@ def make_grid():
         name="t",
         xgrid=axis,
         ygrid=axis,
-        vlayer=CircularMapping(["m1"] * 3),
-        hlayer=CircularMapping(["m2"] * 3),
-        vwidth=CircularMapping([20] * 3),
-        hwidth=CircularMapping([30] * 3),
-        xcolor=CircularMapping([None] * 3),
-        ycolor=CircularMapping([None] * 3),
+        xtracks=CircularMapping([Track("m1", 20)] * 3),
+        ytracks=CircularMapping([Track("m2", 30)] * 3),
         viamap=CircularMappingArray([[None] * 3] * 3),
     )
 
@@ -207,25 +204,15 @@ def test_routing_grid_validates_attribute_lengths():
     with pytest.raises(ValueError):
         RoutingGrid(
             name="t", xgrid=axis, ygrid=axis,
-            vlayer=CircularMapping(["m1"] * 2),      # wrong length
-            hlayer=CircularMapping(["m2"] * 3),
-            vwidth=CircularMapping([20] * 3),
-            hwidth=CircularMapping([30] * 3),
-            xcolor=CircularMapping([None] * 3),
-            ycolor=CircularMapping([None] * 3),
+            xtracks=CircularMapping([Track("m1", 20)] * 2),      # wrong length
+            ytracks=CircularMapping([Track("m2", 30)] * 3),
             viamap=CircularMappingArray([[None] * 3] * 3),
         )
+
+
+def test_track_rejects_zero_width():
     with pytest.raises(ValueError):
-        RoutingGrid(
-            name="t", xgrid=axis, ygrid=axis,
-            vlayer=CircularMapping(["m1"] * 3),
-            hlayer=CircularMapping(["m2"] * 3),
-            vwidth=CircularMapping([20, 20, 0]),     # zero width
-            hwidth=CircularMapping([30] * 3),
-            xcolor=CircularMapping([None] * 3),
-            ycolor=CircularMapping([None] * 3),
-            viamap=CircularMappingArray([[None] * 3] * 3),
-        )
+        Track("m1", 0)
 
 
 def test_overlap_range_identical_rects():
@@ -291,9 +278,9 @@ def test_single_signal_track(gridtech):
     g = generate_routing_grid(gridtech, spec, BIG)
     assert g.xgrid.period == 40           # min_width 20 + min_spacing 20
     assert g.xgrid.coords == (0,)
-    assert g.vwidth.elements == (20,)
+    assert g.xtracks.elements == (Track("m1", 20),)
     assert g.ygrid.period == 60
-    assert g.hwidth.elements == (30,)
+    assert g.ytracks.elements == (Track("m2", 30),)
 
 
 def test_power_track_pattern(gridtech):
@@ -308,7 +295,7 @@ def test_power_track_pattern(gridtech):
     g = generate_routing_grid(gridtech, spec, BIG)
     assert g.xgrid.period == 160
     assert g.xgrid.coords == (0, 40, 100)
-    assert g.vwidth.elements == (20, 20, 60)
+    assert [t.width for t in g.xtracks.elements] == [20, 20, 60]
 
 
 def test_empty_pattern_infeasible(gridtech):
@@ -331,8 +318,8 @@ def test_unknown_layer(gridtech):
 def test_auto_colors_alternate(gridtech):
     spec = GridSpec("g", (TrackSpec("mc"), TrackSpec("mc")), (TrackSpec("m2"),))
     g = generate_routing_grid(gridtech, spec, BIG)
-    assert g.xcolor.elements == ("A", "B")
-    assert g.ycolor.elements == (None,)   # m2 is not colorable
+    assert [t.color for t in g.xtracks.elements] == ["A", "B"]
+    assert g.ytracks.get(0).color is None   # m2 is not colorable
 
 
 def test_track_spacing_invariant(gridtech):
@@ -353,7 +340,7 @@ def test_track_spacing_invariant(gridtech):
         s = gridtech.min_spacing(layer)
         for i in range(2 * n):
             c1, c2 = g.xgrid.phys(i), g.xgrid.phys(i + 1)
-            w1, w2 = g.vwidth.get(i), g.vwidth.get(i + 1)
+            w1, w2 = g.xtracks.get(i).width, g.xtracks.get(i + 1).width
             assert 2 * (c2 - c1) >= w1 + w2 + 2 * s, (tracks, i)
 
 

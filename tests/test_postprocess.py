@@ -257,7 +257,7 @@ def test_adjacent_tracks_never_share_color(finfet):
     g = d.rgrid
     n = len(g.xgrid)
     for i in range(2 * n):
-        assert g.xcolor.get(i) != g.xcolor.get(i + 1)
+        assert g.xtracks.get(i).color != g.xtracks.get(i + 1).color
 
 
 # -- dummy fill ---------------------------------------------------------------------
