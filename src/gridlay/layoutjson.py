@@ -158,14 +158,22 @@ def _is(*types):
 
 
 def _ints(n: int):
-    return lambda v: isinstance(v, list) and len(v) == n and all(isinstance(c, int) for c in v)
+    return lambda v: isinstance(v, list) and len(v) == n and all(type(c) is int for c in v)
 
 
-_INT, _QUAD = _is(int), _ints(4)
+def _INT(v) -> bool:  # JSON true/false are Python bools, which are ints
+    return type(v) is int
+
+
+def _POS(v) -> bool:
+    return type(v) is int and v > 0
 
 
 def _PAIR(v) -> bool:  # _ints(2) unrolled: every instance and via is checked
-    return isinstance(v, list) and len(v) == 2 and isinstance(v[0], int) and isinstance(v[1], int)
+    return isinstance(v, list) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
+
+
+_QUAD = _ints(4)
 
 
 # What a rebuild needs of each field whose value it can fail on, in the order
@@ -174,7 +182,7 @@ _FIELD_CHECKS = {
     "instances": {"master": _is(str), "params": _is(dict), "origin": _PAIR,
                   "transform": lambda v: v in [t.value for t in Transform]},
     "wires": {"axis": lambda v: v in ("h", "v"), "track": _INT, "lo": _INT, "hi": _INT,
-              "width": lambda v: isinstance(v, int) and v > 0},
+              "width": _POS},
     "vias": {"via": _is(str), "pos": _PAIR},
     "pins": {},
     "rects": {"layer": _is(str), "bbox": _QUAD, "purpose": lambda v: v in PURPOSES},
@@ -207,6 +215,16 @@ def _entry_error(section: str, k: int, e, exc: Exception) -> ValidationError:
     return ValidationError(f"{where}: {exc}")
 
 
+def _pgrid_axis(pgrid: dict, key: str) -> OneDimGrid:
+    axis = pgrid[key]
+    period, coords = axis["period"], axis["coords"]
+    if not _INT(period):
+        raise ValidationError(f"pgrid.{key}.period: bad value {period!r}")
+    if not (isinstance(coords, list) and all(map(_INT, coords))):
+        raise ValidationError(f"pgrid.{key}.coords: bad value {coords!r}")
+    return OneDimGrid(period, tuple(coords))
+
+
 def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     """Rebuild a working design from a document.
 
@@ -236,7 +254,8 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
         section = "wires"
         for k, e in enumerate(data["wires"]):
             d.wires.append(Wire(e["layer"], e["axis"], _want(_INT, e["track"]), _want(_INT, e["lo"]),
-                                _want(_INT, e["hi"]), e["width"], e["is_pin"], e["net"], e["color"]))
+                                _want(_INT, e["hi"]), _want(_POS, e["width"]), e["is_pin"], e["net"],
+                                e["color"]))
         section = "vias"
         for k, e in enumerate(data["vias"]):
             if e["via"] not in tech.vias:
@@ -261,10 +280,7 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
             d.rects.append(Rect(e["layer"], Point(b[0], b[1]), Point(b[2], b[3]), e["purpose"]))
         section, e = "pgrid", data.get("pgrid")
         if e is not None:
-            d.pgrid = PlacementGrid(
-                OneDimGrid(e["x"]["period"], tuple(e["x"]["coords"])),
-                OneDimGrid(e["y"]["period"], tuple(e["y"]["coords"])),
-            )
+            d.pgrid = PlacementGrid(_pgrid_axis(e, "x"), _pgrid_axis(e, "y"))
         section, e = "grid", data.get("grid")
         if e is not None:
             # The realized grid is independent of the region (it only gates

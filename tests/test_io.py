@@ -331,8 +331,16 @@ def test_rebuild_errors_name_the_field(finfet, section, change, field):
     ("vias", {"via": ["m1"]}, "via"),
     ("vias", {"pos": ["a", "b"]}, "pos"),
     ("rects", {"bbox": ["a", "b", "c", "d"]}, "bbox"),
+    ("wires", {"track": True}, "track"),
+    ("wires", {"lo": True}, "lo"),
+    ("wires", {"hi": True}, "hi"),
+    ("wires", {"width": True}, "width"),
+    ("instances", {"origin": [True, 0]}, "origin"),
+    ("vias", {"pos": [0, False]}, "pos"),
+    ("rects", {"bbox": [False, 0, 20, 20]}, "bbox"),
 ], ids=["origin-str", "origin-str-coord", "track-str", "lo-hi-str", "via-unknown", "via-list",
-        "pos-str", "bbox-str"])
+        "pos-str", "bbox-str", "track-bool", "lo-bool", "hi-bool", "width-bool", "origin-bool",
+        "pos-bool", "bbox-bool"])
 def test_rebuild_rejects_values_that_would_fail_later(finfet, section, changes, field):
     # Values the geometry takes without complaint; unchecked, they surface as a
     # bare TypeError or KeyError in check_all or an exporter.
@@ -341,6 +349,20 @@ def test_rebuild_rejects_values_that_would_fail_later(finfet, section, changes, 
     k = next(i for i, e in enumerate(entries) if section != "rects" or e["src"] == "raw")
     entries[k].update(changes)
     with pytest.raises(ValidationError, match=rf"^{section}\[{k}\]\.{field}: "):
+        document_to_design(doc, finfet)
+
+
+@pytest.mark.parametrize("axis,field,value", [
+    ("y", "coords", [False]),
+    ("x", "period", True),
+    ("x", "coords", "0"),
+])
+def test_rebuild_rejects_bad_pgrid_values(finfet, axis, field, value):
+    # JSON booleans are Python ints: unchecked, a `true` period or a `false`
+    # coordinate rebuilds and is written back out as a boolean.
+    doc = read_layout_json(write_layout_json(run_flow("dac", {"bits": 1}, finfet)))
+    doc.data["pgrid"][axis][field] = value
+    with pytest.raises(ValidationError, match=rf"^pgrid\.{axis}\.{field}: "):
         document_to_design(doc, finfet)
 
 
