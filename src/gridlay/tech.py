@@ -19,6 +19,7 @@ from .errors import ParseError, UnknownLayer, ValidationError
 from .geometry import Point, Rect
 from .grid import GridSpec, TrackSpec
 from .template import (
+    _KIND_BUILDERS,
     DynamicTemplate,
     NativeTemplate,
     ParamSpec,
@@ -251,12 +252,25 @@ def _parse_pins(d: dict, where: str) -> dict[str, PinDef]:
     return pins
 
 
+# param type -> the Python type its default must have, and how errors say it
+_PARAM_TYPES = {
+    "int": (int, "an integer"), "str": (str, "a string"), "bool": (bool, "true or false"),
+}
+
+
 def _parse_param_schema(d: dict, where: str) -> dict[str, ParamSpec]:
     schema = {}
     for pname, p in d.items():
+        at = f"{where}.params.{pname}"
         ptype = p["type"]
-        if ptype not in ("int", "str", "bool"):
-            raise ValidationError(f"{where}.{pname}: unknown type {ptype!r}")
+        if ptype not in _PARAM_TYPES:
+            raise ValidationError(f"{at}.type: unknown type {ptype!r}")
+        for key, (want, what) in (
+            ("min", _PARAM_TYPES["int"]), ("max", _PARAM_TYPES["int"]),
+            ("default", _PARAM_TYPES[ptype]),
+        ):
+            if p.get(key) is not None and type(p[key]) is not want:
+                raise ValidationError(f"{at}.{key}: must be {what}, got {p[key]!r}")
         schema[pname] = ParamSpec(
             type=ptype,
             default=p.get("default"),
@@ -278,11 +292,19 @@ def _parse_template(name: str, d: dict):
             pins=_parse_pins(d.get("pins", {}), where),
             geometry=tuple(_parse_rect(e, where) for e in d.get("geometry", ())),
         )
+    if kind not in _KIND_BUILDERS:
+        raise ValidationError(f"{where}.kind: unknown kind {kind!r}")
+    config = d.get("config", {})
+    if not isinstance(config, dict):
+        raise ValidationError(f"{where}.config: must be an object, got {config!r}")
+    for key in _KIND_BUILDERS[kind][1]:
+        if key not in config:
+            raise ValidationError(f"{where}.config: missing field {key!r}")
     return DynamicTemplate(
         name=name,
         kind=kind,
         schema=_parse_param_schema(d.get("params", {}), where),
-        config=d.get("config", {}),
+        config=config,
     )
 
 

@@ -130,10 +130,9 @@ class DynamicTemplate:
 
     def generate(self, params: Mapping[str, Any], tech: "TechDB") -> "VirtualInstance":
         clean = validate_params(self.schema, params)
-        builder = _KIND_BUILDERS.get(self.kind)
-        if builder is None:
+        if self.kind not in _KIND_BUILDERS:
             raise BadParams(f"template {self.name}: unknown kind {self.kind!r}")
-        size, subelements, pins = builder(self, clean, tech)
+        size, subelements, pins = _KIND_BUILDERS[self.kind][0](self, clean, tech)
         return VirtualInstance(
             master=self.name,
             params=clean,
@@ -374,8 +373,14 @@ def _build_scan_bit(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
     return Point(width, core.size.y), subelements, pins
 
 
-_KIND_BUILDERS: dict[str, Callable] = {
-    "mos": _build_mos,
-    "strip": _build_strip,
-    "scan_bit": _build_scan_bit,
+# Each built-in dynamic kind: its builder and the config keys the builder
+# reads. The tech loader rejects any other kind and a config missing a key.
+_KIND_BUILDERS: dict[str, tuple[Callable, tuple[str, ...]]] = {
+    "mos": (_build_mos, (
+        "poly_pitch", "row_height", "poly_width", "poly_margin", "active_margin",
+        "poly_layer", "active_layer", "vth_markers", "channel_markers",
+        "pin_size", "pin_margin", "pin_layer",
+    )),
+    "strip": (_build_strip, ("cell_width", "row_height", "cell_rects")),
+    "scan_bit": (_build_scan_bit, ("core", "levelshift")),
 }

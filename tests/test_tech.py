@@ -171,6 +171,14 @@ BAD_VALUES = [
     (("templates", "mos", "params", "vth", "choices"), 3, "template mos"),
     (("layers", 6, "colorable"), "no", "layer m1.colorable"),
     (("layers", 6, "min_width"), None, "layer m1.min_width"),
+    (("templates", "mos", "params", "nf", "min"), "a", "template mos.params.nf.min"),
+    (("templates", "mos", "params", "nf", "max"), 2.5, "template mos.params.nf.max"),
+    (("templates", "mos", "params", "nf", "default"), "x", "template mos.params.nf.default"),
+    (("templates", "mos", "params", "nf", "default"), True, "template mos.params.nf.default"),
+    (("templates", "mos", "params", "vth", "default"), 1, "template mos.params.vth.default"),
+    (("templates", "mos", "params", "nf", "type"), "float", "template mos.params.nf.type"),
+    (("templates", "mos", "kind"), "foo", "template mos.kind"),
+    (("templates", "tap", "config"), [], "template tap.config"),
 ]
 
 
@@ -201,6 +209,8 @@ def test_malformed_entry_is_a_validation_error_naming_it(path, value, names):
     (("vias", 1), "enclosure"),
     (("templates", "scan_core"), "size"),
     (("grids", "sig", "xtracks", 0), "layer"),
+    (("templates", "mos", "config"), "poly_pitch"),
+    (("templates", "scan_bit", "config"), "levelshift"),
 ])
 def test_missing_field_is_named(path, field):
     doc = finfet_doc()
