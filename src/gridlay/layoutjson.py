@@ -139,7 +139,7 @@ def write_layout_json(d: Design) -> bytes:
 def read_layout_json(data: bytes | str) -> LayoutDocument:
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"layout document is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError("layout document must be a JSON object")
