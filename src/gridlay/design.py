@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DuplicatePin, MissingVia, NonRectilinear, UnknownLayer, UnknownWire
-from .geometry import Point, Rect, Transform, bbox_of
+from .geometry import Point, Rect, Transform
 from .grid import PlacementGrid, RoutingGrid, Track
 from .template import VirtualInstance
 
@@ -189,10 +189,6 @@ class Design:
         return pin
 
     # -- views --------------------------------------------------------------
-
-    def bbox(self) -> tuple[Point, Point] | None:
-        rects = [r for r, _ in self.iter_flat()]
-        return bbox_of(rects)
 
     def instance_bbox(self) -> tuple[Point, Point] | None:
         boxes = [vi.bbox() for vi in self.instances]

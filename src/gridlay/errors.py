@@ -1,4 +1,7 @@
-"""Exception types raised by the layout engine."""
+"""Exception types raised by the layout engine, and the field readers the
+tech and layout-JSON loaders check their input with."""
+
+from typing import Any, Callable, NamedTuple
 
 
 class LayoutError(Exception):
@@ -11,6 +14,98 @@ class ParseError(LayoutError):
 
 class ValidationError(LayoutError):
     """A parsed document violates the schema; the message names the field."""
+
+
+class Kind(NamedTuple):
+    """What a JSON field must hold: a test for its value, and how errors say it."""
+
+    test: Callable[[Any], bool]
+    what: str
+
+
+# JSON true/false are Python bools, which are ints: integer kinds test the exact type.
+STR = Kind(lambda v: type(v) is str, "a string")
+INT = Kind(lambda v: type(v) is int, "an integer")
+POS_INT = Kind(lambda v: type(v) is int and v > 0, "a positive integer")
+NONNEG_INT = Kind(lambda v: type(v) is int and v >= 0, "a non-negative integer")
+BOOL = Kind(lambda v: type(v) is bool, "true or false")
+LIST = Kind(lambda v: type(v) is list, "an array")
+OBJECT = Kind(lambda v: type(v) is dict, "an object")
+INT_LIST = Kind(lambda v: type(v) is list and all(type(c) is int for c in v), "a list of integers")
+# Unrolled: the layout reader checks one PAIR per instance and via, one QUAD per raw rect.
+PAIR = Kind(lambda v: type(v) is list and len(v) == 2 and type(v[0]) is int and type(v[1]) is int,
+            "a list of 2 integers")
+QUAD = Kind(lambda v: type(v) is list and len(v) == 4 and type(v[0]) is int and type(v[1]) is int
+            and type(v[2]) is int and type(v[3]) is int, "a list of 4 integers")
+
+
+def one_of(*choices) -> Kind:
+    return Kind(lambda v: v in choices, f"one of {list(choices)}")
+
+
+def key_of(mapping, what: str) -> Kind:
+    """A string naming an entry of `mapping`, such as a layer of a tech."""
+    return Kind(lambda v: type(v) is str and v in mapping, what)
+
+
+def or_null(kind: Kind) -> Kind:
+    return Kind(lambda v: v is None or kind.test(v), f"{kind.what} or null")
+
+
+_REQUIRED = object()
+
+
+def _name(where: str, k: int | None) -> str:
+    return where if k is None else f"{where}[{k}]"
+
+
+def check(value, kind: Kind, where: str, k: int | None = None):
+    """`value` if it is of `kind`; else a ValidationError naming it `where`,
+    or `where[k]` when k is given."""
+    if kind.test(value):
+        return value
+    raise ValidationError(f"{_name(where, k)}: must be {kind.what}, got {value!r}")
+
+
+def read(obj, key: str, kind: Kind, where: str, k: int | None = None, default=_REQUIRED):
+    """Field `key` of the entry `obj`, checked against `kind`.
+
+    `where` (or `where[k]`) names the entry; the name is built only when a
+    check fails, so reading a valid document formats no strings. An absent
+    field is `default` if one is given and an error otherwise, and an entry
+    that is no JSON object is an error too.
+    """
+    try:
+        value = obj.get(key, _REQUIRED)
+    except AttributeError:
+        return check(obj, OBJECT, where, k)  # raises: the entry is no JSON object
+    if kind.test(value):
+        return value
+    if value is _REQUIRED:
+        if default is not _REQUIRED:
+            return default
+        raise ValidationError(f"{_name(where, k)}: missing field {key!r}")
+    raise ValidationError(f"{_name(where, k)}.{key}: must be {kind.what}, got {value!r}")
+
+
+def read_fields(obj, fields, where: str, k: int | None = None) -> list:
+    """The values of the required fields of entry `obj`, in the order of
+    `fields`, a sequence of (key, kind) pairs, checked as `read` checks them.
+
+    One call reads a whole entry, which matters in the per-entry loops of a
+    large document.
+    """
+    try:
+        get = obj.get
+    except AttributeError:
+        return check(obj, OBJECT, where, k)  # raises: the entry is no JSON object
+    values = []
+    for key, kind in fields:
+        value = get(key, _REQUIRED)
+        if not kind.test(value):
+            read(obj, key, kind, where, k)  # raises, naming the field
+        values.append(value)
+    return values
 
 
 class UnknownLayer(LayoutError):

@@ -13,7 +13,26 @@ import json
 from dataclasses import dataclass
 
 from .design import Design, Pin, PlacedVia, Wire
-from .errors import BadParams, ParseError, ValidationError
+from .errors import (
+    BOOL,
+    INT,
+    INT_LIST,
+    LIST,
+    OBJECT,
+    PAIR,
+    POS_INT,
+    QUAD,
+    STR,
+    BadParams,
+    Kind,
+    ParseError,
+    ValidationError,
+    key_of,
+    one_of,
+    or_null,
+    read,
+    read_fields,
+)
 from .gds import gds_datatype
 from .geometry import PURPOSES, Point, Rect, Transform
 from .grid import OneDimGrid, PlacementGrid, generate_routing_grid
@@ -145,84 +164,19 @@ def read_layout_json(data: bytes | str) -> LayoutDocument:
         raise ValidationError("layout document must be a JSON object")
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {obj.get('schema_version')!r}")
-    for key in ("design", "tech", "instances", "wires", "vias", "pins", "rects"):
-        if key not in obj:
-            raise ValidationError(f"layout document: missing field {key!r}")
-        if not isinstance(obj[key], str if key in ("design", "tech") else list):
-            raise ValidationError(f"layout document: bad {key!r}: {obj[key]!r}")
+    sections = [(key, LIST) for key in ("instances", "wires", "vias", "pins", "rects")]
+    read_fields(obj, [("design", STR), ("tech", STR)] + sections, "layout document")
     return LayoutDocument(obj)
 
 
-def _is(*types):
-    return lambda v: isinstance(v, types)
-
-
-def _ints(n: int):
-    return lambda v: isinstance(v, list) and len(v) == n and all(type(c) is int for c in v)
-
-
-def _INT(v) -> bool:  # JSON true/false are Python bools, which are ints
-    return type(v) is int
-
-
-def _POS(v) -> bool:
-    return type(v) is int and v > 0
-
-
-def _PAIR(v) -> bool:  # _ints(2) unrolled: every instance and via is checked
-    return isinstance(v, list) and len(v) == 2 and type(v[0]) is int and type(v[1]) is int
-
-
-_QUAD = _ints(4)
-
-
-# What a rebuild needs of each field whose value it can fail on, in the order
-# it reads them. Consulted only once an entry has failed, to name the field.
-_FIELD_CHECKS = {
-    "instances": {"master": _is(str), "params": _is(dict), "origin": _PAIR,
-                  "transform": lambda v: v in [t.value for t in Transform]},
-    "wires": {"axis": lambda v: v in ("h", "v"), "track": _INT, "lo": _INT, "hi": _INT,
-              "width": _POS},
-    "vias": {"via": _is(str), "pos": _PAIR},
-    "pins": {},
-    "rects": {"layer": _is(str), "bbox": _QUAD, "purpose": lambda v: v in PURPOSES},
-}
-
-
-def _want(ok, v):
-    """`v` if it passes `ok`; otherwise a TypeError, whose field the table names.
-
-    For values the geometry would take without complaint (string coordinates
-    compare and add among themselves) and only fail on much later.
-    """
-    if not ok(v):
-        raise TypeError(f"bad value {v!r}")
-    return v
-
-
-def _entry_error(section: str, k: int, e, exc: Exception) -> ValidationError:
-    checks = _FIELD_CHECKS.get(section)
-    if checks is None:  # pgrid or grid: a single value
-        return ValidationError(f"{section}: bad value {e!r}")
-    where = f"{section}[{k}]"
-    if not isinstance(e, dict):
-        return ValidationError(f"{where}: must be an object, got {e!r}")
-    if isinstance(exc, KeyError) and isinstance(exc.args[0], str) and exc.args[0] not in e:
-        return ValidationError(f"{where}.{exc.args[0]}: missing")
-    for field, ok in checks.items():
-        if not ok(e.get(field)):
-            return ValidationError(f"{where}.{field}: bad value {e.get(field)!r}")
-    return ValidationError(f"{where}: {exc}")
-
-
 def _pgrid_axis(pgrid: dict, key: str) -> OneDimGrid:
-    axis = pgrid[key]
-    period, coords = axis["period"], axis["coords"]
-    if not _INT(period):
-        raise ValidationError(f"pgrid.{key}.period: bad value {period!r}")
-    if not (isinstance(coords, list) and all(map(_INT, coords))):
-        raise ValidationError(f"pgrid.{key}.coords: bad value {coords!r}")
-    return OneDimGrid(period, tuple(coords))
+    axis = read(pgrid, key, OBJECT, "pgrid")
+    where = f"pgrid.{key}"
+    period, coords = read(axis, "period", POS_INT, where), read(axis, "coords", INT_LIST, where)
+    try:
+        return OneDimGrid(period, tuple(coords))
+    except ValueError as exc:  # coordinates out of order or outside the period
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
@@ -238,56 +192,58 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
         )
     d = Design(doc.design_name, tech)
     data = doc.data
+    layer = key_of(tech.layers, f"a layer of {tech.name}")
 
     # One generation per distinct (master, params); the copies placed from it
     # share its flattened geometry.
     masters: dict[tuple[str, str], VirtualInstance] = {}
-    section, k, e = "instances", 0, None
-    try:
-        for k, e in enumerate(data["instances"]):
-            key = (e["master"], _params_key(e["params"]))
-            vi = masters.get(key)
-            if vi is None:
-                vi = masters[key] = generate(tech.template(e["master"]), e["params"], tech)
-            o = _want(_PAIR, e["origin"])
-            d.instances.append(vi.at(Point(o[0], o[1]), Transform(e["transform"])))
-        section = "wires"
-        for k, e in enumerate(data["wires"]):
-            d.wires.append(Wire(e["layer"], e["axis"], _want(_INT, e["track"]), _want(_INT, e["lo"]),
-                                _want(_INT, e["hi"]), _want(_POS, e["width"]), e["is_pin"], e["net"],
-                                e["color"]))
-        section = "vias"
-        for k, e in enumerate(data["vias"]):
-            if e["via"] not in tech.vias:
-                raise ValidationError(f"vias[{k}].via: {tech.name} has no via {e['via']!r}")
-            p = _want(_PAIR, e["pos"])
-            d.vias.append(PlacedVia(e["via"], Point(p[0], p[1])))
-        section = "pins"
-        for k, e in enumerate(data["pins"]):
-            w = e["wire"]
-            if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < len(d.wires):
-                raise ValidationError(
-                    f"pins[{k}].wire: {w!r} is not an index into the {len(d.wires)} wires"
-                )
-            d.pins.append(Pin(e["name"], e["net"], d.wires[w]))
-        section = "rects"
-        for k, e in enumerate(data["rects"]):
-            if e["src"] != "raw":
-                continue
-            if e["layer"] not in tech.layers:
-                raise ValidationError(f"rects[{k}].layer: {tech.name} has no layer {e['layer']!r}")
-            b = _want(_QUAD, e["bbox"])
-            d.rects.append(Rect(e["layer"], Point(b[0], b[1]), Point(b[2], b[3]), e["purpose"]))
-        section, e = "pgrid", data.get("pgrid")
-        if e is not None:
-            d.pgrid = PlacementGrid(_pgrid_axis(e, "x"), _pgrid_axis(e, "y"))
-        section, e = "grid", data.get("grid")
-        if e is not None:
-            # The realized grid is independent of the region (it only gates
-            # feasibility, which the original generation already passed), so
-            # rebuild against an ample one.
-            region = Rect("", Point(0, 0), Point(1 << 40, 1 << 40))
-            d.rgrid = generate_routing_grid(tech, tech.grid_spec(e), region)
-    except (KeyError, TypeError, ValueError, IndexError, BadParams) as exc:
-        raise _entry_error(section, k, e, exc) from exc
+    fields = (("master", key_of(tech.templates, f"a template of {tech.name}")), ("params", OBJECT),
+              ("origin", PAIR), ("transform", one_of(*(t.value for t in Transform))))
+    for k, e in enumerate(data["instances"]):
+        name, params, o, t = read_fields(e, fields, "instances", k)
+        key = (name, _params_key(params))
+        vi = masters.get(key)
+        if vi is None:
+            try:
+                vi = masters[key] = generate(tech.templates[name], params, tech)
+            except (BadParams, ValueError) as exc:
+                raise ValidationError(f"instances[{k}]: {exc}") from exc
+        d.instances.append(vi.at(Point(o[0], o[1]), Transform(t)))
+
+    fields = (("layer", layer), ("axis", one_of("h", "v")), ("track", INT), ("lo", INT),
+              ("hi", INT), ("width", POS_INT), ("is_pin", BOOL), ("net", or_null(STR)),
+              ("color", one_of("A", "B", None)))
+    for k, e in enumerate(data["wires"]):
+        d.wires.append(Wire(*read_fields(e, fields, "wires", k)))
+
+    fields = (("via", key_of(tech.vias, f"a via of {tech.name}")), ("pos", PAIR))
+    for k, e in enumerate(data["vias"]):
+        name, p = read_fields(e, fields, "vias", k)
+        d.vias.append(PlacedVia(name, Point(p[0], p[1])))
+
+    wire = Kind(lambda v: type(v) is int and 0 <= v < len(d.wires),
+                f"an index into the {len(d.wires)} wires")
+    fields = (("name", STR), ("net", STR), ("wire", wire))
+    for k, e in enumerate(data["pins"]):
+        name, net, w = read_fields(e, fields, "pins", k)
+        d.pins.append(Pin(name, net, d.wires[w]))
+
+    fields = (("layer", layer), ("bbox", QUAD), ("purpose", one_of(*PURPOSES)))
+    for k, e in enumerate(data["rects"]):
+        if read(e, "src", STR, "rects", k) != "raw":
+            continue
+        name, b, purpose = read_fields(e, fields, "rects", k)
+        d.rects.append(Rect(name, Point(b[0], b[1]), Point(b[2], b[3]), purpose))
+
+    pgrid = read(data, "pgrid", or_null(OBJECT), "layout document", default=None)
+    if pgrid is not None:
+        d.pgrid = PlacementGrid(_pgrid_axis(pgrid, "x"), _pgrid_axis(pgrid, "y"))
+    grid = read(data, "grid", or_null(key_of(tech.grids, f"a grid of {tech.name}")),
+                "layout document", default=None)
+    if grid is not None:
+        # The realized grid is independent of the region (it only gates
+        # feasibility, which the original generation already passed), so
+        # rebuild against an ample one.
+        region = Rect("", Point(0, 0), Point(1 << 40, 1 << 40))
+        d.rgrid = generate_routing_grid(tech, tech.grids[grid], region)
     return d

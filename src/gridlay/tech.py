@@ -9,14 +9,32 @@ gridlay/techs) so everything is reproducible without a proprietary PDK.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ParseError, UnknownLayer, ValidationError
-from .geometry import Point, Rect
+from .errors import (
+    BOOL,
+    INT,
+    LIST,
+    NONNEG_INT,
+    OBJECT,
+    PAIR,
+    POS_INT,
+    QUAD,
+    STR,
+    Kind,
+    ParseError,
+    UnknownLayer,
+    ValidationError,
+    check,
+    key_of,
+    one_of,
+    or_null,
+    read,
+)
+from .geometry import PURPOSES, Point, Rect
 from .grid import GridSpec, TrackSpec
 from .template import (
     _KIND_BUILDERS,
@@ -138,188 +156,136 @@ class TechDB:
         return spec
 
 
-@contextmanager
-def _entry(where: str):
-    """Report the Python error a malformed entry raises while it is parsed as
-    a ValidationError naming the entry, and the field if one is missing."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-
-
-def _need(d: dict, key: str, where: str):
-    if key not in d:
-        raise ValidationError(f"{where}: missing field {key!r}")
-    return d[key]
-
-
-def _section(doc: dict, key: str, kind: type):
-    value = doc.get(key, kind())
-    if not isinstance(value, kind):
-        what = "an array" if kind is list else "an object"
-        raise ValidationError(f"tech.{key}: must be {what}, got {value!r}")
-    return value
-
-
-def _str(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{where}: must be a string, got {value!r}")
-    return value
-
-
-def _ints(value, n: int, where: str) -> list[int]:
-    if not (isinstance(value, list) and len(value) == n and all(type(v) is int for v in value)):
-        raise ValidationError(f"{where}: must be a list of {n} integers, got {value!r}")
-    return value
-
-
-def _pos_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise ValidationError(f"{where}: must be a positive integer, got {value!r}")
-    return value
-
-
-def _nonneg_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValidationError(f"{where}: must be a non-negative integer, got {value!r}")
-    return value
-
-
 def _parse_layer(d: dict, at: str) -> LayerDef:
-    name = _str(d["name"], f"{at}.name")
+    name = read(d, "name", STR, at)
     where = f"layer {name}"
-    gds_layer, gds_datatype = _ints(d["gds"], 2, f"{where}.gds")
-    cut = None
-    if d.get("cut") is not None:
-        c = d["cut"]
+    gds = read(d, "gds", PAIR, where)
+    cut = read(d, "cut", or_null(OBJECT), where, default=None)
+    if cut is not None:
         cwhere = f"{where}.cut"
         cut = CutRule(
-            cut_layer=_str(c["layer"], f"{cwhere}.layer"),
-            cut_width=_pos_int(c["width"], f"{cwhere}.width"),
-            cut_length=_pos_int(c["length"], f"{cwhere}.length"),
-            spacing_threshold=_pos_int(c["spacing_threshold"], f"{cwhere}.spacing_threshold"),
-            end_margin=_pos_int(c["end_margin"], f"{cwhere}.end_margin"),
+            cut_layer=read(cut, "layer", STR, cwhere),
+            cut_width=read(cut, "width", POS_INT, cwhere),
+            cut_length=read(cut, "length", POS_INT, cwhere),
+            spacing_threshold=read(cut, "spacing_threshold", POS_INT, cwhere),
+            end_margin=read(cut, "end_margin", POS_INT, cwhere),
         )
         if cut.cut_width > cut.spacing_threshold:
             raise ValidationError(f"{cwhere}: width exceeds spacing_threshold")
-    colorable = d.get("colorable", False)
-    if not isinstance(colorable, bool):
-        raise ValidationError(f"{where}.colorable: must be true or false, got {colorable!r}")
     return LayerDef(
         name=name,
-        gds_layer=_nonneg_int(gds_layer, f"{where}.gds[0]"),
-        gds_datatype=_nonneg_int(gds_datatype, f"{where}.gds[1]"),
-        min_width=_pos_int(d["min_width"], f"{where}.min_width"),
-        min_spacing=_pos_int(d["min_spacing"], f"{where}.min_spacing"),
-        min_area=_nonneg_int(d.get("min_area", 0), f"{where}.min_area"),
-        colorable=colorable,
+        gds_layer=check(gds[0], NONNEG_INT, f"{where}.gds", 0),
+        gds_datatype=check(gds[1], NONNEG_INT, f"{where}.gds", 1),
+        min_width=read(d, "min_width", POS_INT, where),
+        min_spacing=read(d, "min_spacing", POS_INT, where),
+        min_area=read(d, "min_area", NONNEG_INT, where, default=0),
+        colorable=read(d, "colorable", BOOL, where, default=False),
         cut=cut,
     )
 
 
-def _parse_via(d: dict, at: str, layers: Mapping[str, LayerDef]) -> ViaDef:
-    name = _str(d["name"], f"{at}.name")
+def _parse_via(d: dict, at: str, layer_name: Kind) -> ViaDef:
+    name = read(d, "name", STR, at)
     where = f"via {name}"
-    cw, ch = _ints(d["cut_size"], 2, f"{where}.cut_size")
-    via = ViaDef(
+    cut_size = read(d, "cut_size", PAIR, where)
+    return ViaDef(
         name=name,
-        lower=_str(d["lower"], f"{where}.lower"),
-        upper=_str(d["upper"], f"{where}.upper"),
-        cut_layer=_str(d["cut_layer"], f"{where}.cut_layer"),
-        cut_size=(_pos_int(cw, f"{where}.cut_size[0]"), _pos_int(ch, f"{where}.cut_size[1]")),
-        enclosure={k: _nonneg_int(v, f"{where}.enclosure.{k}") for k, v in d["enclosure"].items()},
+        lower=read(d, "lower", layer_name, where),
+        upper=read(d, "upper", layer_name, where),
+        cut_layer=read(d, "cut_layer", layer_name, where),
+        cut_size=tuple(check(c, POS_INT, f"{where}.cut_size", i) for i, c in enumerate(cut_size)),
+        enclosure={
+            k: check(v, NONNEG_INT, f"{where}.enclosure.{k}")
+            for k, v in read(d, "enclosure", OBJECT, where).items()
+        },
     )
-    for lname in (via.lower, via.upper, via.cut_layer):
-        if lname not in layers:
-            raise ValidationError(f"{where}: references unknown layer {lname!r}")
-    return via
+
+
+_PARAM_TYPES = {"int": INT, "str": STR, "bool": BOOL}
 
 
 def _parse_rect(e: dict, where: str) -> Rect:
-    x0, y0, x1, y1 = _ints(e["rect"], 4, f"{where}.rect")
-    layer = _str(e["layer"], f"{where}.layer")
-    return Rect(layer, Point(x0, y0), Point(x1, y1), e.get("purpose", "drawing"))
+    x0, y0, x1, y1 = read(e, "rect", QUAD, where)
+    layer = read(e, "layer", STR, where)
+    purpose = read(e, "purpose", one_of(*PURPOSES), where, default="drawing")
+    return Rect(layer, Point(x0, y0), Point(x1, y1), purpose)
 
 
 def _parse_pins(d: dict, where: str) -> dict[str, PinDef]:
     pins = {}
     for pname, p in d.items():
-        r = _parse_rect(p, f"{where}.pins.{pname}")
-        pins[pname] = PinDef(r.with_purpose("pin"), p.get("net"))
+        at = f"{where}.pins.{pname}"
+        r = _parse_rect(p, at)
+        pins[pname] = PinDef(r.with_purpose("pin"), read(p, "net", or_null(STR), at, default=None))
     return pins
 
 
-# param type -> the Python type its default must have, and how errors say it
-_PARAM_TYPES = {
-    "int": (int, "an integer"), "str": (str, "a string"), "bool": (bool, "true or false"),
-}
-
-
-def _parse_param_schema(d: dict, where: str) -> dict[str, ParamSpec]:
+def _parse_param_schema(d: dict, where: str, required: tuple[str, ...]) -> dict[str, ParamSpec]:
+    for pname in required:
+        read(d, pname, OBJECT, f"{where}.params")
     schema = {}
     for pname, p in d.items():
         at = f"{where}.params.{pname}"
-        ptype = p["type"]
-        if ptype not in _PARAM_TYPES:
-            raise ValidationError(f"{at}.type: unknown type {ptype!r}")
-        for key, (want, what) in (
-            ("min", _PARAM_TYPES["int"]), ("max", _PARAM_TYPES["int"]),
-            ("default", _PARAM_TYPES[ptype]),
-        ):
-            if p.get(key) is not None and type(p[key]) is not want:
-                raise ValidationError(f"{at}.{key}: must be {what}, got {p[key]!r}")
+        ptype = read(p, "type", one_of(*_PARAM_TYPES), at)
+        choices = read(p, "choices", LIST, at, default=None)
         schema[pname] = ParamSpec(
             type=ptype,
-            default=p.get("default"),
-            choices=tuple(p["choices"]) if "choices" in p else None,
-            min=p.get("min"),
-            max=p.get("max"),
+            default=read(p, "default", or_null(_PARAM_TYPES[ptype]), at, default=None),
+            choices=None if choices is None else tuple(choices),
+            min=read(p, "min", or_null(INT), at, default=None),
+            max=read(p, "max", or_null(INT), at, default=None),
         )
     return schema
 
 
 def _parse_template(name: str, d: dict):
     where = f"template {name}"
-    kind = _str(d["kind"], f"{where}.kind")
+    kind = read(d, "kind", one_of("native", *_KIND_BUILDERS), where)
     if kind == "native":
-        sx, sy = _ints(d["size"], 2, f"{where}.size")
-        return NativeTemplate(
-            name=name,
-            size=Point(sx, sy),
-            pins=_parse_pins(d.get("pins", {}), where),
-            geometry=tuple(_parse_rect(e, where) for e in d.get("geometry", ())),
+        sx, sy = read(d, "size", PAIR, where)
+        pins = _parse_pins(read(d, "pins", OBJECT, where, default={}), where)
+        geometry = tuple(
+            _parse_rect(e, where) for e in read(d, "geometry", LIST, where, default=[])
         )
-    if kind not in _KIND_BUILDERS:
-        raise ValidationError(f"{where}.kind: unknown kind {kind!r}")
-    config = d.get("config", {})
-    if not isinstance(config, dict):
-        raise ValidationError(f"{where}.config: must be an object, got {config!r}")
-    for key in _KIND_BUILDERS[kind][1]:
-        if key not in config:
-            raise ValidationError(f"{where}.config: missing field {key!r}")
+        try:
+            return NativeTemplate(name=name, size=Point(sx, sy), pins=pins, geometry=geometry)
+        except ValueError as exc:  # a negative size, or a pin outside the cell
+            raise ValidationError(str(exc)) from exc
+    _, params, config_kinds = _KIND_BUILDERS[kind]
+    cwhere = f"{where}.config"
+    config = read(d, "config", OBJECT, where, default={})
+    for key, ckind in config_kinds.items():
+        read(config, key, ckind, cwhere)
+    if kind == "strip":
+        config = dict(
+            config,
+            cell_rects=tuple(
+                _parse_rect(e, f"{cwhere}.cell_rects[{i}]")
+                for i, e in enumerate(config["cell_rects"])
+            ),
+            pins=_parse_pins(read(config, "pins", OBJECT, cwhere, default={}), cwhere),
+        )
     return DynamicTemplate(
         name=name,
         kind=kind,
-        schema=_parse_param_schema(d.get("params", {}), where),
+        schema=_parse_param_schema(read(d, "params", OBJECT, where, default={}), where, params),
         config=config,
     )
 
 
-def _parse_grid(name: str, d: dict, layers: Mapping[str, LayerDef]) -> GridSpec:
+def _parse_grid(name: str, d: dict, layer_name: Kind) -> GridSpec:
     where = f"grid {name}"
 
     def tracks(key: str) -> tuple[TrackSpec, ...]:
         out = []
-        for i, t in enumerate(d.get(key, ())):
+        for i, t in enumerate(read(d, key, LIST, where, default=[])):
             at = f"{where}.{key}[{i}]"
-            layer = _str(t["layer"], f"{at}.layer")
-            if layer not in layers:
-                raise ValidationError(f"{at}: unknown layer {layer!r}")
-            wmul = _pos_int(t.get("wmul", 1), f"{at}.wmul")
-            out.append(TrackSpec(layer, t.get("kind", "signal"), wmul, t.get("color")))
+            out.append(TrackSpec(
+                read(t, "layer", layer_name, at),
+                read(t, "kind", one_of("signal", "power"), at, default="signal"),
+                read(t, "wmul", POS_INT, at, default=1),
+                read(t, "color", one_of("A", "B", "none", None), at, default=None),
+            ))
         return tuple(out)
 
     return GridSpec(name, tracks("xtracks"), tracks("ytracks"))
@@ -339,14 +305,12 @@ def load_tech(text: str | bytes) -> TechDB:
         raise ParseError(f"tech document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("tech document must be a JSON object")
-    name = _str(_need(doc, "name", "tech"), "tech.name")
-    unit_nm = _pos_int(doc.get("unit_nm", 1), "tech.unit_nm")
-    _need(doc, "layers", "tech")
+    name = read(doc, "name", STR, "tech")
+    unit_nm = read(doc, "unit_nm", POS_INT, "tech", default=1)
 
     layers: dict[str, LayerDef] = {}
-    for k, entry in enumerate(_section(doc, "layers", list)):
-        with _entry(f"layers[{k}]"):
-            layer = _parse_layer(entry, f"layers[{k}]")
+    for k, entry in enumerate(read(doc, "layers", LIST, "tech")):
+        layer = _parse_layer(entry, f"layers[{k}]")
         if layer.name in layers:
             raise ValidationError(f"duplicate layer {layer.name!r}")
         layers[layer.name] = layer
@@ -356,22 +320,22 @@ def load_tech(text: str | bytes) -> TechDB:
                 f"layer {layer.name}: cut layer {layer.cut.cut_layer!r} does not exist"
             )
 
+    layer_name = key_of(layers, "a defined layer")
     vias: dict[str, ViaDef] = {}
-    for k, entry in enumerate(_section(doc, "vias", list)):
-        with _entry(f"vias[{k}]"):
-            via = _parse_via(entry, f"vias[{k}]", layers)
+    for k, entry in enumerate(read(doc, "vias", LIST, "tech", default=[])):
+        via = _parse_via(entry, f"vias[{k}]", layer_name)
         if via.name in vias:
             raise ValidationError(f"duplicate via {via.name!r}")
         vias[via.name] = via
 
-    templates = {}
-    for tname, tdef in _section(doc, "templates", dict).items():
-        with _entry(f"template {tname}"):
-            templates[tname] = _parse_template(tname, tdef)
-    grids = {}
-    for gname, gdef in _section(doc, "grids", dict).items():
-        with _entry(f"grid {gname}"):
-            grids[gname] = _parse_grid(gname, gdef, layers)
+    templates = {
+        tname: _parse_template(tname, tdef)
+        for tname, tdef in read(doc, "templates", OBJECT, "tech", default={}).items()
+    }
+    grids = {
+        gname: _parse_grid(gname, gdef, layer_name)
+        for gname, gdef in read(doc, "grids", OBJECT, "tech", default={}).items()
+    }
 
     return TechDB(
         name=name,

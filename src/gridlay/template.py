@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from .errors import BadParams, UnknownPin
+from .errors import LIST, NONNEG_INT, OBJECT, POS_INT, STR, BadParams, Kind, UnknownPin
 from .geometry import (
     Point,
     Rect,
@@ -327,25 +327,11 @@ def _build_strip(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
     cfg = tpl.config
     n = params["n"]
     cw = cfg["cell_width"]
-    rh = cfg["row_height"]
-    cell = tuple(
-        Rect(
-            e["layer"],
-            Point(e["rect"][0], e["rect"][1]),
-            Point(e["rect"][2], e["rect"][3]),
-            e.get("purpose", "drawing"),
-        )
-        for e in cfg["cell_rects"]
-    )
     subelements = [
-        SubElement(cell, Point(k * cw, 0), Transform.R0, f"{tpl.name}_cell") for k in range(n)
+        SubElement(cfg["cell_rects"], Point(k * cw, 0), Transform.R0, f"{tpl.name}_cell")
+        for k in range(n)
     ]
-    size = Point(n * cw, rh)
-    pins = {}
-    for pname, p in cfg.get("pins", {}).items():
-        r = Rect(p["layer"], Point(p["rect"][0], p["rect"][1]), Point(p["rect"][2], p["rect"][3]), "pin")
-        pins[pname] = PinDef(r, p.get("net"))
-    return size, subelements, pins
+    return Point(n * cw, cfg["row_height"]), subelements, cfg["pins"]
 
 
 def _build_scan_bit(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
@@ -373,14 +359,20 @@ def _build_scan_bit(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
     return Point(width, core.size.y), subelements, pins
 
 
-# Each built-in dynamic kind: its builder and the config keys the builder
-# reads. The tech loader rejects any other kind and a config missing a key.
-_KIND_BUILDERS: dict[str, tuple[Callable, tuple[str, ...]]] = {
-    "mos": (_build_mos, (
-        "poly_pitch", "row_height", "poly_width", "poly_margin", "active_margin",
-        "poly_layer", "active_layer", "vth_markers", "channel_markers",
-        "pin_size", "pin_margin", "pin_layer",
-    )),
-    "strip": (_build_strip, ("cell_width", "row_height", "cell_rects")),
-    "scan_bit": (_build_scan_bit, ("core", "levelshift")),
+# Each built-in dynamic kind: its builder, the params the builder reads and
+# the config keys it reads with what each must hold. The tech loader rejects
+# any other kind, a schema without one of the params and a config without
+# one of the keys. A strip's `cell_rects` and `pins` reach the builder parsed
+# into Rects and PinDefs.
+_KIND_BUILDERS: dict[str, tuple[Callable, tuple[str, ...], dict[str, Kind]]] = {
+    "mos": (_build_mos, ("nf", "vth", "channel"), {
+        "poly_pitch": POS_INT, "row_height": POS_INT, "poly_width": POS_INT,
+        "poly_margin": NONNEG_INT, "active_margin": NONNEG_INT,
+        "poly_layer": STR, "active_layer": STR, "vth_markers": OBJECT, "channel_markers": OBJECT,
+        "pin_size": POS_INT, "pin_margin": NONNEG_INT, "pin_layer": STR,
+    }),
+    "strip": (_build_strip, ("n",), {
+        "cell_width": POS_INT, "row_height": POS_INT, "cell_rects": LIST,
+    }),
+    "scan_bit": (_build_scan_bit, ("with_levelshift",), {"core": STR, "levelshift": STR}),
 }

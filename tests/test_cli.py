@@ -135,6 +135,7 @@ def test_check_rejects_bad_pin_wire_index(tmp_path, capsys, finfet, index):
     ("wires", "axis", "d"),
     ("wires", "width", None),   # deleted
     ("instances", "origin", "ab"),   # unchecked, a TypeError inside check_all
+    ("pins", "name", 7),   # unchecked, a TypeError in the pin sort of the writer
 ])
 def test_broken_document_exits_1_naming_the_field(tmp_path, capsys, command, section, field, value):
     out = tmp_path / "d.json"
@@ -151,7 +152,11 @@ def test_broken_document_exits_1_naming_the_field(tmp_path, capsys, command, sec
         argv += ["--pass", "cuts", "--out", str(tmp_path / "o.json")]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {section}[0].{field}: ") and "Traceback" not in err
+    if value is None:
+        named = f"{section}[0]: missing field {field!r}\n"
+    else:
+        named = f"{section}[0].{field}: "
+    assert err.startswith(f"error: {named}") and "Traceback" not in err
 
 
 def test_postprocess_cuts_pass(tmp_path, finfet):

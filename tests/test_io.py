@@ -318,7 +318,12 @@ def test_rebuild_errors_name_the_field(finfet, section, change, field):
     entries = doc.data[section]
     k = next(i for i, e in enumerate(entries) if section != "rects" or e["src"] == "raw")
     change(entries[k])
-    with pytest.raises(ValidationError, match=rf"^{section}\[{k}\]\.{field}: "):
+    # A bad value is named as the field, a missing one as the entry lacking it.
+    if field in entries[k]:
+        named = rf"^{section}\[{k}\]\.{field}: "
+    else:
+        named = rf"^{section}\[{k}\]: missing field '{field}'$"
+    with pytest.raises(ValidationError, match=named):
         document_to_design(doc, finfet)
 
 
@@ -338,9 +343,16 @@ def test_rebuild_errors_name_the_field(finfet, section, change, field):
     ("instances", {"origin": [True, 0]}, "origin"),
     ("vias", {"pos": [0, False]}, "pos"),
     ("rects", {"bbox": [False, 0, 20, 20]}, "bbox"),
+    ("wires", {"is_pin": "yes"}, "is_pin"),
+    ("wires", {"net": ["x"]}, "net"),
+    ("wires", {"color": 5}, "color"),
+    ("wires", {"layer": 5}, "layer"),
+    ("pins", {"name": 7}, "name"),
+    ("pins", {"net": 7}, "net"),
 ], ids=["origin-str", "origin-str-coord", "track-str", "lo-hi-str", "via-unknown", "via-list",
         "pos-str", "bbox-str", "track-bool", "lo-bool", "hi-bool", "width-bool", "origin-bool",
-        "pos-bool", "bbox-bool"])
+        "pos-bool", "bbox-bool", "is_pin-str", "net-list", "color-int", "layer-int", "pin-name-int",
+        "pin-net-int"])
 def test_rebuild_rejects_values_that_would_fail_later(finfet, section, changes, field):
     # Values the geometry takes without complaint; unchecked, they surface as a
     # bare TypeError or KeyError in check_all or an exporter.

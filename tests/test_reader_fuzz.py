@@ -2,14 +2,14 @@
 
 A derandomized hypothesis search mutates a DAC-2 GDS stream (byte flips and
 truncations) and a DAC-2 layout JSON (field deletions and type swaps in every
-section). Reading, and for JSON also rebuilding, either succeeds or raises a
-LayoutError subclass.
+section). Reading, and for JSON also rebuilding and writing the rebuilt
+design as JSON and GDS, either succeeds or raises a LayoutError subclass.
 """
 
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridlay.errors import LayoutError
@@ -74,11 +74,14 @@ def mutate(doc: dict, where: str, k: int, f: int, swap: int | None) -> None:
 
 @FUZZ
 @given(mutations=st.lists(mutation, min_size=1, max_size=3))
+@example(mutations=[("pins", 0, 0, SWAPS.index(-1))])   # an integer pin name breaks the pin sort
 def test_layout_json_rebuild_fails_only_with_layout_errors(dac2, finfet, mutations):
     doc = json.loads(dac2[1])
     for m in mutations:
         mutate(doc, *m)
     try:
-        document_to_design(read_layout_json(json.dumps(doc)), finfet)
+        d = document_to_design(read_layout_json(json.dumps(doc)), finfet)
+        write_layout_json(d)
+        write_gds(d)
     except LayoutError:
         pass

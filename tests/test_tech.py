@@ -159,7 +159,7 @@ BAD_VALUES = [
     (("grids", "sig", "ytracks", 0, "kind"), "bogus", "grid sig"),
     (("grids", "sig", "ytracks", 2, "wmul"), 0, "grid sig.ytracks[2].wmul"),
     (("vias", 0, "cut_size"), [4], "via v12.cut_size"),
-    (("vias", 0, "enclosure"), [2, 4], "vias[0]"),
+    (("vias", 0, "enclosure"), [2, 4], "via v12.enclosure"),
     (("templates", "scan_core", "pins"), [], "template scan_core"),
     (("templates",), [], "tech.templates"),
     (("grids",), [], "tech.grids"),
@@ -167,7 +167,7 @@ BAD_VALUES = [
     (("templates", "dummy", "geometry", 0, "rect"), ["0", "0", "9", "9"], "template dummy.rect"),
     (("templates", "dummy", "geometry", 0, "purpose"), "bogus", "template dummy"),
     (("layers", 0), 5, "layers[0]"),
-    (("layers", 6, "cut"), 3, "layers[6]"),
+    (("layers", 6, "cut"), 3, "layer m1.cut"),
     (("templates", "mos", "params", "vth", "choices"), 3, "template mos"),
     (("layers", 6, "colorable"), "no", "layer m1.colorable"),
     (("layers", 6, "min_width"), None, "layer m1.min_width"),
@@ -179,6 +179,11 @@ BAD_VALUES = [
     (("templates", "mos", "params", "nf", "type"), "float", "template mos.params.nf.type"),
     (("templates", "mos", "kind"), "foo", "template mos.kind"),
     (("templates", "tap", "config"), [], "template tap.config"),
+    (("templates", "mos", "config", "poly_pitch"), "x", "template mos.config.poly_pitch"),
+    (("templates", "mos", "config", "pin_margin"), -1, "template mos.config.pin_margin"),
+    (("templates", "tap", "config", "cell_rects", 0, "rect"), ["a", 0, 1, 1],
+     "template tap.config.cell_rects[0].rect"),
+    (("templates", "tap", "config", "pins", "tap", "layer"), 5, "template tap.config.pins.tap.layer"),
 ]
 
 
@@ -211,6 +216,8 @@ def test_malformed_entry_is_a_validation_error_naming_it(path, value, names):
     (("grids", "sig", "xtracks", 0), "layer"),
     (("templates", "mos", "config"), "poly_pitch"),
     (("templates", "scan_bit", "config"), "levelshift"),
+    (("templates", "mos", "params"), "vth"),
+    (("templates", "tap", "params"), "n"),
 ])
 def test_missing_field_is_named(path, field):
     doc = finfet_doc()
