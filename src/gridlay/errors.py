@@ -28,7 +28,7 @@ STR = Kind(lambda v: type(v) is str, "a string")
 INT = Kind(lambda v: type(v) is int, "an integer")
 POS_INT = Kind(lambda v: type(v) is int and v > 0, "a positive integer")
 NONNEG_INT = Kind(lambda v: type(v) is int and v >= 0, "a non-negative integer")
-BOOL = Kind(lambda v: type(v) is bool, "true or false")
+BOOL = Kind(lambda v: type(v) is bool, "a boolean")
 LIST = Kind(lambda v: type(v) is list, "an array")
 OBJECT = Kind(lambda v: type(v) is dict, "an object")
 INT_LIST = Kind(lambda v: type(v) is list and all(type(c) is int for c in v), "a list of integers")
@@ -60,20 +60,16 @@ def _name(where: str, k: int | None) -> str:
 
 
 def check(value, kind: Kind, where: str, k: int | None = None):
-    """`value` if it is of `kind`; else a ValidationError naming it `where`,
-    or `where[k]` when k is given."""
+    """`value` if it is of `kind`; else a ValidationError naming it `where[k]`, or `where`."""
     if kind.test(value):
         return value
     raise ValidationError(f"{_name(where, k)}: must be {kind.what}, got {value!r}")
 
 
 def read(obj, key: str, kind: Kind, where: str, k: int | None = None, default=_REQUIRED):
-    """Field `key` of the entry `obj`, checked against `kind`.
-
-    `where` (or `where[k]`) names the entry; the name is built only when a
-    check fails, so reading a valid document formats no strings. An absent
-    field is `default` if one is given and an error otherwise, and an entry
-    that is no JSON object is an error too.
+    """Field `key` of the entry `obj` named `where` (or `where[k]`), checked
+    against `kind`; `default` if absent and given. The name is formatted only
+    when a check fails, so reading a valid document formats no strings.
     """
     try:
         value = obj.get(key, _REQUIRED)
@@ -89,11 +85,8 @@ def read(obj, key: str, kind: Kind, where: str, k: int | None = None, default=_R
 
 
 def read_fields(obj, fields, where: str, k: int | None = None) -> list:
-    """The values of the required fields of entry `obj`, in the order of
-    `fields`, a sequence of (key, kind) pairs, checked as `read` checks them.
-
-    One call reads a whole entry, which matters in the per-entry loops of a
-    large document.
+    """The values of the required (key, kind) `fields` of entry `obj`, checked
+    as `read` checks them: one call per entry in the loops over a large document.
     """
     try:
         get = obj.get

@@ -179,13 +179,21 @@ class TrackSpec:
     kind "signal" uses the layer's minimum width; kind "power" widens the
     track by `wmul`. `color` pins the patterning mask of the track ("none"
     leaves it uncolored); absent on a colorable layer means alternate
-    automatically. The tech loader checks each field as it reads it.
+    automatically.
     """
 
     layer: str
     kind: str = "signal"
     wmul: int = 1
     color: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("signal", "power"):
+            raise ValueError(f"unknown track kind {self.kind!r}")
+        if self.wmul < 1:
+            raise ValueError("wmul must be >= 1")
+        if self.color not in (None, "A", "B", "none"):
+            raise ValueError(f"unknown color {self.color!r}")
 
 
 @dataclass(frozen=True)

@@ -86,22 +86,11 @@ def design_to_document(d: Design) -> LayoutDocument:
         ),
     )
     wire_index = {id(d.wires[i]): n for n, i in enumerate(wire_order)}
-    wires = []
-    for i in wire_order:
-        w = d.wires[i]
-        wires.append(
-            {
-                "layer": w.layer,
-                "axis": w.axis,
-                "track": w.track,
-                "lo": w.lo,
-                "hi": w.hi,
-                "width": w.width,
-                "is_pin": w.is_pin,
-                "net": w.net,
-                "color": w.color,
-            }
-        )
+    wires = [
+        {"layer": w.layer, "axis": w.axis, "track": w.track, "lo": w.lo, "hi": w.hi,
+         "width": w.width, "is_pin": w.is_pin, "net": w.net, "color": w.color}
+        for w in (d.wires[i] for i in wire_order)
+    ]
 
     vias = sorted(
         ({"via": v.via, "pos": [v.pos.x, v.pos.y]} for v in d.vias),
@@ -116,17 +105,11 @@ def design_to_document(d: Design) -> LayoutDocument:
         key=lambda e: (e["name"], e["wire"]),
     )
 
-    rects = []
-    for r, src in d.iter_flat():
-        rects.append(
-            {
-                "layer": r.layer,
-                "datatype": gds_datatype(d.tech.layer(r.layer), r.purpose),
-                "purpose": r.purpose,
-                "src": src,
-                "bbox": [r.lo.x, r.lo.y, r.hi.x, r.hi.y],
-            }
-        )
+    rects = [
+        {"layer": r.layer, "datatype": gds_datatype(d.tech.layer(r.layer), r.purpose),
+         "purpose": r.purpose, "src": src, "bbox": [r.lo.x, r.lo.y, r.hi.x, r.hi.y]}
+        for r, src in d.iter_flat()
+    ]
     rects.sort(key=lambda e: (e["layer"], e["bbox"], e["purpose"], e["src"], e["datatype"]))
 
     data = {
@@ -170,9 +153,9 @@ def read_layout_json(data: bytes | str) -> LayoutDocument:
 
 
 def _pgrid_axis(pgrid: dict, key: str) -> OneDimGrid:
-    axis = read(pgrid, key, OBJECT, "pgrid")
     where = f"pgrid.{key}"
-    period, coords = read(axis, "period", POS_INT, where), read(axis, "coords", INT_LIST, where)
+    fields = (("period", POS_INT), ("coords", INT_LIST))
+    period, coords = read_fields(read(pgrid, key, OBJECT, "pgrid"), fields, where)
     try:
         return OneDimGrid(period, tuple(coords))
     except ValueError as exc:  # coordinates out of order or outside the period
@@ -206,7 +189,8 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
         if vi is None:
             try:
                 vi = masters[key] = generate(tech.templates[name], params, tech)
-            except (BadParams, ValueError) as exc:
+            # A builder also fails on templates that do not fit together.
+            except (BadParams, KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
                 raise ValidationError(f"instances[{k}]: {exc}") from exc
         d.instances.append(vi.at(Point(o[0], o[1]), Transform(t)))
 
@@ -230,8 +214,11 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
 
     fields = (("layer", layer), ("bbox", QUAD), ("purpose", one_of(*PURPOSES)))
     for k, e in enumerate(data["rects"]):
-        if read(e, "src", STR, "rects", k) != "raw":
-            continue
+        try:  # only `src` is read of a derived rect: any value but "raw"
+            if e["src"] != "raw":
+                continue
+        except (KeyError, TypeError):
+            read(e, "src", STR, "rects", k)  # raises: no `src`, or the entry is no object
         name, b, purpose = read_fields(e, fields, "rects", k)
         d.rects.append(Rect(name, Point(b[0], b[1]), Point(b[2], b[3]), purpose))
 

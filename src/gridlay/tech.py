@@ -22,7 +22,6 @@ from .errors import (
     OBJECT,
     PAIR,
     POS_INT,
-    QUAD,
     STR,
     Kind,
     ParseError,
@@ -34,14 +33,16 @@ from .errors import (
     or_null,
     read,
 )
-from .geometry import PURPOSES, Point, Rect
+from .geometry import Point, Rect
 from .grid import GridSpec, TrackSpec
 from .template import (
     _KIND_BUILDERS,
+    PARAM_KINDS,
     DynamicTemplate,
     NativeTemplate,
     ParamSpec,
-    PinDef,
+    _parse_pins,
+    _parse_rect,
 )
 
 BUNDLED_TECHS = ("mock_planar", "mock_finfet")
@@ -201,36 +202,17 @@ def _parse_via(d: dict, at: str, layer_name: Kind) -> ViaDef:
     )
 
 
-_PARAM_TYPES = {"int": INT, "str": STR, "bool": BOOL}
-
-
-def _parse_rect(e: dict, where: str) -> Rect:
-    x0, y0, x1, y1 = read(e, "rect", QUAD, where)
-    layer = read(e, "layer", STR, where)
-    purpose = read(e, "purpose", one_of(*PURPOSES), where, default="drawing")
-    return Rect(layer, Point(x0, y0), Point(x1, y1), purpose)
-
-
-def _parse_pins(d: dict, where: str) -> dict[str, PinDef]:
-    pins = {}
-    for pname, p in d.items():
-        at = f"{where}.pins.{pname}"
-        r = _parse_rect(p, at)
-        pins[pname] = PinDef(r.with_purpose("pin"), read(p, "net", or_null(STR), at, default=None))
-    return pins
-
-
 def _parse_param_schema(d: dict, where: str, required: tuple[str, ...]) -> dict[str, ParamSpec]:
     for pname in required:
         read(d, pname, OBJECT, f"{where}.params")
     schema = {}
     for pname, p in d.items():
         at = f"{where}.params.{pname}"
-        ptype = read(p, "type", one_of(*_PARAM_TYPES), at)
+        ptype = read(p, "type", one_of(*PARAM_KINDS), at)
         choices = read(p, "choices", LIST, at, default=None)
         schema[pname] = ParamSpec(
             type=ptype,
-            default=read(p, "default", or_null(_PARAM_TYPES[ptype]), at, default=None),
+            default=read(p, "default", or_null(PARAM_KINDS[ptype]), at, default=None),
             choices=None if choices is None else tuple(choices),
             min=read(p, "min", or_null(INT), at, default=None),
             max=read(p, "max", or_null(INT), at, default=None),
@@ -251,20 +233,13 @@ def _parse_template(name: str, d: dict):
             return NativeTemplate(name=name, size=Point(sx, sy), pins=pins, geometry=geometry)
         except ValueError as exc:  # a negative size, or a pin outside the cell
             raise ValidationError(str(exc)) from exc
-    _, params, config_kinds = _KIND_BUILDERS[kind]
+    _, params, config_kinds, parse_config = _KIND_BUILDERS[kind]
     cwhere = f"{where}.config"
     config = read(d, "config", OBJECT, where, default={})
     for key, ckind in config_kinds.items():
         read(config, key, ckind, cwhere)
-    if kind == "strip":
-        config = dict(
-            config,
-            cell_rects=tuple(
-                _parse_rect(e, f"{cwhere}.cell_rects[{i}]")
-                for i, e in enumerate(config["cell_rects"])
-            ),
-            pins=_parse_pins(read(config, "pins", OBJECT, cwhere, default={}), cwhere),
-        )
+    if parse_config is not None:
+        config = parse_config(config, cwhere)
     return DynamicTemplate(
         name=name,
         kind=kind,

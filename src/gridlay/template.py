@@ -12,8 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-from .errors import LIST, NONNEG_INT, OBJECT, POS_INT, STR, BadParams, Kind, UnknownPin
+from .errors import (
+    BOOL,
+    INT,
+    LIST,
+    NONNEG_INT,
+    OBJECT,
+    POS_INT,
+    QUAD,
+    STR,
+    BadParams,
+    Kind,
+    UnknownPin,
+    one_of,
+    or_null,
+    read,
+)
 from .geometry import (
+    PURPOSES,
     Point,
     Rect,
     Transform,
@@ -36,6 +52,22 @@ class PinDef:
     net: str | None = None
 
 
+def _parse_rect(e: dict, where: str) -> Rect:
+    x0, y0, x1, y1 = read(e, "rect", QUAD, where)
+    layer = read(e, "layer", STR, where)
+    purpose = read(e, "purpose", one_of(*PURPOSES), where, default="drawing")
+    return Rect(layer, Point(x0, y0), Point(x1, y1), purpose)
+
+
+def _parse_pins(d: dict, where: str) -> dict[str, PinDef]:
+    pins = {}
+    for pname, p in d.items():
+        at = f"{where}.pins.{pname}"
+        r = _parse_rect(p, at)
+        pins[pname] = PinDef(r.with_purpose("pin"), read(p, "net", or_null(STR), at, default=None))
+    return pins
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     type: str  # "int" | "str" | "bool"
@@ -43,6 +75,9 @@ class ParamSpec:
     choices: tuple | None = None
     min: int | None = None
     max: int | None = None
+
+
+PARAM_KINDS = {"int": INT, "str": STR, "bool": BOOL}
 
 
 def validate_params(schema: Mapping[str, ParamSpec], params: Mapping[str, Any]) -> dict:
@@ -58,19 +93,14 @@ def validate_params(schema: Mapping[str, ParamSpec], params: Mapping[str, Any]) 
             value = spec.default if spec.default is not None else False
         else:
             raise BadParams(f"missing parameter {name!r}")
+        kind = PARAM_KINDS[spec.type]
+        if not kind.test(value):
+            raise BadParams(f"{name!r} must be {kind.what}, got {value!r}")
         if spec.type == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadParams(f"{name!r} must be an integer, got {value!r}")
             if spec.min is not None and value < spec.min:
                 raise BadParams(f"{name!r} must be >= {spec.min}")
             if spec.max is not None and value > spec.max:
                 raise BadParams(f"{name!r} must be <= {spec.max}")
-        elif spec.type == "bool":
-            if not isinstance(value, bool):
-                raise BadParams(f"{name!r} must be a boolean, got {value!r}")
-        elif spec.type == "str":
-            if not isinstance(value, str):
-                raise BadParams(f"{name!r} must be a string, got {value!r}")
         if spec.choices is not None and value not in spec.choices:
             raise BadParams(f"{name!r} must be one of {list(spec.choices)}")
         out[name] = value
@@ -359,20 +389,29 @@ def _build_scan_bit(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
     return Point(width, core.size.y), subelements, pins
 
 
-# Each built-in dynamic kind: its builder, the params the builder reads and
-# the config keys it reads with what each must hold. The tech loader rejects
-# any other kind, a schema without one of the params and a config without
-# one of the keys. A strip's `cell_rects` and `pins` reach the builder parsed
-# into Rects and PinDefs.
-_KIND_BUILDERS: dict[str, tuple[Callable, tuple[str, ...], dict[str, Kind]]] = {
+def _parse_strip_config(cfg: dict, where: str) -> dict:
+    """A strip's cell rects and pins, parsed once at load."""
+    rects = tuple(
+        _parse_rect(e, f"{where}.cell_rects[{i}]") for i, e in enumerate(cfg["cell_rects"])
+    )
+    pins = _parse_pins(read(cfg, "pins", OBJECT, where, default={}), where)
+    return dict(cfg, cell_rects=rects, pins=pins)
+
+
+# Each built-in dynamic kind: its builder, the params the builder reads, the
+# config keys it reads with what each must hold, and a parser the tech loader
+# applies to the checked config (None: the builder reads it as is). The loader
+# rejects any other kind, a schema without one of the params and a config
+# without one of the keys.
+_KIND_BUILDERS: dict[str, tuple[Callable, tuple[str, ...], dict[str, Kind], Callable | None]] = {
     "mos": (_build_mos, ("nf", "vth", "channel"), {
         "poly_pitch": POS_INT, "row_height": POS_INT, "poly_width": POS_INT,
         "poly_margin": NONNEG_INT, "active_margin": NONNEG_INT,
         "poly_layer": STR, "active_layer": STR, "vth_markers": OBJECT, "channel_markers": OBJECT,
         "pin_size": POS_INT, "pin_margin": NONNEG_INT, "pin_layer": STR,
-    }),
+    }, None),
     "strip": (_build_strip, ("n",), {
         "cell_width": POS_INT, "row_height": POS_INT, "cell_rects": LIST,
-    }),
-    "scan_bit": (_build_scan_bit, ("with_levelshift",), {"core": STR, "levelshift": STR}),
+    }, _parse_strip_config),
+    "scan_bit": (_build_scan_bit, ("with_levelshift",), {"core": STR, "levelshift": STR}, None),
 }

@@ -159,6 +159,40 @@ def test_broken_document_exits_1_naming_the_field(tmp_path, capsys, command, sec
     assert err.startswith(f"error: {named}") and "Traceback" not in err
 
 
+def _no_scan_in(templates, doc):
+    del templates["scan_core"]["pins"]["scan_in"]
+
+
+def _dynamic_core(templates, doc):
+    templates["scan_bit"]["config"]["core"] = "tap"
+
+
+def _str_strip_count(templates, doc):
+    templates["tap"]["params"]["n"] = {"type": "str", "default": "1"}
+    doc["instances"].append({"master": "tap", "params": {"n": "2"}, "origin": [0, 0],
+                             "transform": "R0"})
+
+
+@pytest.mark.parametrize("command", ["check", "postprocess"])
+@pytest.mark.parametrize("edit", [_no_scan_in, _dynamic_core, _str_strip_count])
+def test_rebuild_against_mismatched_templates_exits_1(tmp_path, capsys, command, edit):
+    # The tech loads, but a builder fails on the document's instances.
+    tech = json.loads(resources.files("gridlay").joinpath("techs/mock_finfet.json").read_text())
+    src = tmp_path / "d.json"
+    assert run(["gen", "--tech", "mock_finfet", "--generator", "scan", "--out", str(src)]) == 0
+    doc = json.loads(src.read_text())
+    edit(tech["templates"], doc)
+    src.write_text(json.dumps(doc))
+    tech_path = tmp_path / "tech.json"
+    tech_path.write_text(json.dumps(tech))
+    argv = [command, "--tech", str(tech_path), "--in", str(src)]
+    if command == "postprocess":
+        argv += ["--pass", "cuts", "--out", str(tmp_path / "o.json")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: instances[") and "Traceback" not in err
+
+
 def test_postprocess_cuts_pass(tmp_path, finfet):
     d = Design("cuts", finfet)
     d.add_wire(Wire(layer="m1", axis="h", track=100, lo=0, hi=50, width=20))

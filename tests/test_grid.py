@@ -215,6 +215,12 @@ def test_track_rejects_zero_width():
         Track("m1", 0)
 
 
+@pytest.mark.parametrize("fields", [{"kind": "pwr"}, {"wmul": 0}, {"color": "C"}])
+def test_track_spec_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        TrackSpec("m1", **fields)
+
+
 def test_overlap_range_identical_rects():
     g = make_grid()
     r = Rect("m1", Point(0, 0), Point(100, 100))
