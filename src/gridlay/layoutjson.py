@@ -86,11 +86,22 @@ def design_to_document(d: Design) -> LayoutDocument:
         ),
     )
     wire_index = {id(d.wires[i]): n for n, i in enumerate(wire_order)}
-    wires = [
-        {"layer": w.layer, "axis": w.axis, "track": w.track, "lo": w.lo, "hi": w.hi,
-         "width": w.width, "is_pin": w.is_pin, "net": w.net, "color": w.color}
-        for w in (d.wires[i] for i in wire_order)
-    ]
+    wires = []
+    for i in wire_order:
+        w = d.wires[i]
+        wires.append(
+            {
+                "layer": w.layer,
+                "axis": w.axis,
+                "track": w.track,
+                "lo": w.lo,
+                "hi": w.hi,
+                "width": w.width,
+                "is_pin": w.is_pin,
+                "net": w.net,
+                "color": w.color,
+            }
+        )
 
     vias = sorted(
         ({"via": v.via, "pos": [v.pos.x, v.pos.y]} for v in d.vias),
@@ -105,11 +116,17 @@ def design_to_document(d: Design) -> LayoutDocument:
         key=lambda e: (e["name"], e["wire"]),
     )
 
-    rects = [
-        {"layer": r.layer, "datatype": gds_datatype(d.tech.layer(r.layer), r.purpose),
-         "purpose": r.purpose, "src": src, "bbox": [r.lo.x, r.lo.y, r.hi.x, r.hi.y]}
-        for r, src in d.iter_flat()
-    ]
+    rects = []
+    for r, src in d.iter_flat():
+        rects.append(
+            {
+                "layer": r.layer,
+                "datatype": gds_datatype(d.tech.layer(r.layer), r.purpose),
+                "purpose": r.purpose,
+                "src": src,
+                "bbox": [r.lo.x, r.lo.y, r.hi.x, r.hi.y],
+            }
+        )
     rects.sort(key=lambda e: (e["layer"], e["bbox"], e["purpose"], e["src"], e["datatype"]))
 
     data = {

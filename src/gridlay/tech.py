@@ -278,9 +278,7 @@ def load_tech(text: str | bytes) -> TechDB:
         doc = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"tech document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("tech document must be a JSON object")
-    name = read(doc, "name", STR, "tech")
+    name = read(doc, "name", STR, "tech")  # also rejects a document that is no object
     unit_nm = read(doc, "unit_nm", POS_INT, "tech", default=1)
 
     layers: dict[str, LayerDef] = {}
