@@ -147,6 +147,12 @@ def test_parse_error_on_bad_json():
         load_tech("{not json")
 
 
+@pytest.mark.parametrize("text", ["[]", "5", "null"])
+def test_document_that_is_no_object_is_named(text):
+    with pytest.raises(ValidationError, match=r"^tech: must be an object"):
+        load_tech(text)
+
+
 def test_load_tech_file_unknown():
     with pytest.raises(ParseError):
         load_tech_file("no_such_tech")
