@@ -29,7 +29,7 @@ from .errors import (
 )
 from .flow import FlowFlags, gen_current_dac, gen_scan_cell, run_flow
 from .gds import read_library, write_gds, write_library
-from .geometry import Point, Rect, Transform, apply, apply_rect, compose, matrix_of
+from .geometry import Point, Rect, Transform, apply, apply_rect, compose
 from .grid import (
     CircularMapping,
     CircularMappingArray,

@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 # patterning masks of a colorable layer.
 PURPOSES = ("drawing", "pin", "cut", "dummy", "colorA", "colorB")
 
-Matrix = tuple[tuple[int, int], tuple[int, int]]
-
 
 @dataclass(frozen=True, order=True)
 class Point:
@@ -37,8 +35,8 @@ class Point:
 class Transform(enum.Enum):
     """One of the four orthogonal orientations.
 
-    The associated 2x2 matrices are diagonal sign matrices, so the set is
-    closed under composition and forms a group isomorphic to Z2 x Z2.
+    Each one is a diagonal sign matrix diag(sx, sy), so the set is closed
+    under composition and forms a group isomorphic to Z2 x Z2.
     R90-family orientations are deliberately unsupported: row-based layout
     styles never need them.
     """
@@ -49,62 +47,26 @@ class Transform(enum.Enum):
     R180 = "R180"
 
 
-_MATRIX: dict[Transform, Matrix] = {
-    Transform.R0: ((1, 0), (0, 1)),
-    Transform.MX: ((1, 0), (0, -1)),
-    Transform.MY: ((-1, 0), (0, 1)),
-    Transform.R180: ((-1, 0), (0, -1)),
+# The sign pair (sx, sy) of each orientation: its matrix is diag(sx, sy).
+_SIGNS: dict[Transform, tuple[int, int]] = {
+    Transform.R0: (1, 1),
+    Transform.MX: (1, -1),
+    Transform.MY: (-1, 1),
+    Transform.R180: (-1, -1),
 }
-
-# 0.5*(I - M) for each transform. Always integer-valued because the diagonal
-# entries of M are +-1; used by the sub-element placement rule so that a
-# transformed instance keeps the same absolute bounding box as its R0 twin.
-_HALF_I_MINUS: dict[Transform, Matrix] = {
-    Transform.R0: ((0, 0), (0, 0)),
-    Transform.MX: ((0, 0), (0, 1)),
-    Transform.MY: ((1, 0), (0, 0)),
-    Transform.R180: ((1, 0), (0, 1)),
-}
-
-
-def matrix_of(t: Transform) -> Matrix:
-    """Return the 2x2 integer matrix of an orientation."""
-    return _MATRIX[t]
-
-
-def half_i_minus(t: Transform) -> Matrix:
-    """Return the integer matrix 0.5*(I - matrix_of(t))."""
-    return _HALF_I_MINUS[t]
-
-
-def mat_apply(m: Matrix, p: Point) -> Point:
-    return Point(m[0][0] * p.x + m[0][1] * p.y, m[1][0] * p.x + m[1][1] * p.y)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
-
-
-_COMPOSE: dict[tuple[Transform, Transform], Transform] = {}
-for _a in Transform:
-    for _b in Transform:
-        _m = mat_mul(_MATRIX[_a], _MATRIX[_b])
-        for _c in Transform:
-            if _MATRIX[_c] == _m:
-                _COMPOSE[(_a, _b)] = _c
+_OF_SIGNS = {signs: t for t, signs in _SIGNS.items()}
 
 
 def compose(outer: Transform, inner: Transform) -> Transform:
-    """Orientation whose matrix equals matrix_of(outer) @ matrix_of(inner)."""
-    return _COMPOSE[(outer, inner)]
+    """Orientation equal to applying `inner`, then `outer`."""
+    (ax, ay), (bx, by) = _SIGNS[outer], _SIGNS[inner]
+    return _OF_SIGNS[(ax * bx, ay * by)]
 
 
 def apply(t: Transform, p: Point) -> Point:
-    """Apply an orientation's matrix to a point."""
-    return mat_apply(_MATRIX[t], p)
+    """Apply an orientation to a point: (sx * x, sy * y)."""
+    sx, sy = _SIGNS[t]
+    return Point(sx * p.x, sy * p.y)
 
 
 @dataclass(frozen=True)

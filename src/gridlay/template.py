@@ -29,6 +29,7 @@ from .errors import (
     read,
 )
 from .geometry import (
+    _SIGNS,
     PURPOSES,
     Point,
     Rect,
@@ -36,8 +37,6 @@ from .geometry import (
     apply,
     apply_rect,
     compose,
-    half_i_minus,
-    mat_apply,
 )
 
 if TYPE_CHECKING:
@@ -187,7 +186,7 @@ class VirtualInstance:
 
         origin + 0.5*(I - M) * size + M * q
 
-    with M the transform matrix, so the absolute bounding box is the box of
+    with M = diag(sx, sy) the transform's sign matrix, so the absolute bounding box is the box of
     the declared size anchored at the origin for all four orientations.
 
     Every copy made by `at()` shares one cache of the master's flattened
@@ -224,8 +223,11 @@ class VirtualInstance:
         return self.origin, self.origin + self.size
 
     def anchor(self) -> Point:
-        """Where the local origin lands: origin + 0.5*(I - M) * size."""
-        return self.origin + mat_apply(half_i_minus(self.transform), self.size)
+        """Where the local origin lands: the origin, plus the size on each
+        axis the transform flips (origin + 0.5*(I - M) * size)."""
+        sx, sy = _SIGNS[self.transform]
+        o, s = self.origin, self.size
+        return Point(o.x + s.x if sx < 0 else o.x, o.y + s.y if sy < 0 else o.y)
 
     def place_subelement(self, k: int) -> tuple[Point, Transform]:
         """Absolute origin and effective orientation of sub-element k.

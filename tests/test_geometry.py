@@ -10,37 +10,76 @@ from gridlay.geometry import (
     apply_rect,
     bbox_of,
     compose,
-    half_i_minus,
-    mat_apply,
-    mat_mul,
-    matrix_of,
 )
+from gridlay.template import PinDef, VirtualInstance
 
 ALL = list(Transform)
 
+# Each orientation's 2x2 matrix, written out here so the tests below check
+# the sign-pair code against the matrix algebra it stands for.
+MATRIX = {
+    Transform.R0: ((1, 0), (0, 1)),
+    Transform.MX: ((1, 0), (0, -1)),
+    Transform.MY: ((-1, 0), (0, 1)),
+    Transform.R180: ((-1, 0), (0, -1)),
+}
+IDENTITY = ((1, 0), (0, 1))
+
+
+def mat_apply(m, p: Point) -> Point:
+    return Point(m[0][0] * p.x + m[0][1] * p.y, m[1][0] * p.x + m[1][1] * p.y)
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)) for i in range(2)
+    )
+
+
+def random_points(seed: int, n: int = 100) -> list[Point]:
+    rng = random.Random(seed)
+    return [Point(rng.randint(-1000, 1000), rng.randint(-1000, 1000)) for _ in range(n)]
+
 
 def test_transform_matrices():
-    assert matrix_of(Transform.R0) == ((1, 0), (0, 1))
-    assert matrix_of(Transform.MX) == ((1, 0), (0, -1))
-    assert matrix_of(Transform.MY) == ((-1, 0), (0, 1))
-    assert matrix_of(Transform.R180) == ((-1, 0), (0, -1))
+    # apply(t, p) is the matrix product M * p
+    for t in ALL:
+        for p in random_points(1):
+            assert apply(t, p) == mat_apply(MATRIX[t], p)
 
 
 def test_half_i_minus_matrices():
-    assert half_i_minus(Transform.R0) == ((0, 0), (0, 0))
-    assert half_i_minus(Transform.MX) == ((0, 0), (0, 1))
-    assert half_i_minus(Transform.MY) == ((1, 0), (0, 0))
-    assert half_i_minus(Transform.R180) == ((1, 0), (0, 1))
+    # anchor() is origin + 0.5*(I - M) * size, and a pin corner q lands on
+    # anchor + M * q
+    rng = random.Random(2)
+    for t in ALL:
+        m = MATRIX[t]
+        i_minus = tuple(tuple(IDENTITY[i][j] - m[i][j] for j in range(2)) for i in range(2))
+        assert all(e % 2 == 0 for row in i_minus for e in row)
+        half = tuple(tuple(e // 2 for e in row) for row in i_minus)
+        for _ in range(20):
+            size = Point(rng.randint(1, 500), rng.randint(1, 500))
+            origin = Point(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
+            lo = Point(rng.randint(0, size.x // 2), rng.randint(0, size.y // 2))
+            pin = Rect("m1", lo, Point(rng.randint(lo.x, size.x), rng.randint(lo.y, size.y)), "pin")
+            vi = VirtualInstance("m", {}, Point(0, 0), Transform.R0, size, (), {"p": PinDef(pin)})
+            placed = vi.at(origin, t)
+            anchor = origin + mat_apply(half, size)
+            assert placed.anchor() == anchor
+            lo, hi = (anchor + mat_apply(m, q) for q in (pin.lo, pin.hi))
+            assert placed.pin_abs("p") == Rect("m1", lo, hi, "pin")
+            assert placed.bbox() == (origin, origin + size)
 
 
 def test_matrix_properties():
+    # every orientation is its own inverse: M * M^T = I and M is symmetric,
+    # so applying it twice gives the point back
     for t in ALL:
-        m = matrix_of(t)
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        assert det in (-1, 1)
-        assert all(e in (-1, 0, 1) for row in m for e in row)
+        m = MATRIX[t]
         mt = ((m[0][0], m[1][0]), (m[0][1], m[1][1]))
-        assert mat_mul(m, mt) == ((1, 0), (0, 1))
+        assert mt == m and mat_mul(m, mt) == IDENTITY
+        for p in random_points(3):
+            assert apply(t, apply(t, p)) == p == mat_apply(mat_mul(m, mt), p)
 
 
 def test_apply_examples():
@@ -57,9 +96,10 @@ def test_compose_examples():
 
 
 def test_compose_table_matches_matrix_products():
-    for a in ALL:
-        for b in ALL:
-            assert matrix_of(compose(a, b)) == mat_mul(matrix_of(a), matrix_of(b))
+    pairs = [(a, b) for a in ALL for b in ALL]
+    assert len(pairs) == 16
+    for a, b in pairs:
+        assert MATRIX[compose(a, b)] == mat_mul(MATRIX[a], MATRIX[b])
 
 
 def test_group_structure():
@@ -76,8 +116,7 @@ def test_group_structure():
 
 
 def test_apply_respects_composition():
-    rng = random.Random(7)
-    pts = [Point(rng.randint(-1000, 1000), rng.randint(-1000, 1000)) for _ in range(100)]
+    pts = random_points(7)
     for a in ALL:
         for b in ALL:
             for p in pts:
