@@ -27,7 +27,7 @@ from .errors import (
     UnknownWire,
     ValidationError,
 )
-from .flow import FlowFlags, gen_current_dac, gen_scan_cell, run_flow
+from .flow import FlowFlags, run_flow
 from .gds import read_library, write_gds, write_library
 from .geometry import Point, Rect, Transform, apply, apply_rect, compose
 from .grid import (

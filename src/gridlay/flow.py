@@ -86,20 +86,3 @@ def run_flow(
         if getattr(flags, name.replace("-", "_")):
             run_pass(d, name, flags.color_offset)
     return d
-
-
-def gen_current_dac(bits: int, tech: TechDB, flags: FlowFlags | None = None) -> Design:
-    """Binary-weighted current-DAC design with pins b0..b(bits-1), out, vss."""
-    return run_flow("dac", {"bits": bits}, tech, flags)
-
-
-def gen_scan_cell(
-    n_bits: int,
-    with_levelshift: bool,
-    tech: TechDB,
-    flags: FlowFlags | None = None,
-) -> Design:
-    """Chain of abutted scan cells, optionally with level-shift blocks."""
-    return run_flow(
-        "scan", {"n_bits": n_bits, "with_levelshift": with_levelshift}, tech, flags
-    )

@@ -28,9 +28,6 @@ class Point:
     def __sub__(self, other: "Point") -> "Point":
         return Point(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Point":
-        return Point(-self.x, -self.y)
-
 
 class Transform(enum.Enum):
     """One of the four orthogonal orientations.

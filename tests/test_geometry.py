@@ -150,7 +150,6 @@ def test_rect_intersection_and_overlap():
 def test_point_arithmetic_and_bbox():
     assert Point(1, 2) + Point(3, 4) == Point(4, 6)
     assert Point(1, 2) - Point(3, 4) == Point(-2, -2)
-    assert -Point(1, -2) == Point(-1, 2)
     box = bbox_of([
         Rect("m1", Point(0, 0), Point(2, 2)),
         Rect("m1", Point(-5, 1), Point(1, 7)),
