@@ -227,7 +227,11 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     fields = (("name", STR), ("net", STR), ("wire", wire))
     for k, e in enumerate(data["pins"]):
         name, net, w = read_fields(e, fields, "pins", k)
-        d.pins.append(Pin(name, net, d.wires[w]))
+        wire = d.wires[w]
+        if not wire.is_pin or wire.net != net:  # a pin promotes its wire onto its net
+            raise ValidationError(f"pins[{k}].wire: must index a pin wire on net {net!r}, got "
+                                  f"wires[{w}] (is_pin {wire.is_pin}, net {wire.net!r})")
+        d.pins.append(Pin(name, net, wire))
 
     fields = (("layer", layer), ("bbox", QUAD), ("purpose", one_of(*PURPOSES)))
     for k, e in enumerate(data["rects"]):

@@ -202,9 +202,10 @@ def _parse_via(d: dict, at: str, layer_name: Kind) -> ViaDef:
     )
 
 
-def _parse_param_schema(d: dict, where: str, required: tuple[str, ...]) -> dict[str, ParamSpec]:
-    for pname in required:
-        read(d, pname, OBJECT, f"{where}.params")
+def _parse_param_schema(d: dict, where: str, required: dict[str, str]) -> dict[str, ParamSpec]:
+    for pname, ptype in required.items():
+        p = read(d, pname, OBJECT, f"{where}.params")
+        read(p, "type", one_of(ptype), f"{where}.params.{pname}")
     schema = {}
     for pname, p in d.items():
         at = f"{where}.params.{pname}"
@@ -233,19 +234,35 @@ def _parse_template(name: str, d: dict):
             return NativeTemplate(name=name, size=Point(sx, sy), pins=pins, geometry=geometry)
         except ValueError as exc:  # a negative size, or a pin outside the cell
             raise ValidationError(str(exc)) from exc
-    _, params, config_kinds, parse_config = _KIND_BUILDERS[kind]
+    kdef = _KIND_BUILDERS[kind]
     cwhere = f"{where}.config"
     config = read(d, "config", OBJECT, where, default={})
-    for key, ckind in config_kinds.items():
+    for key, ckind in kdef.config.items():
         read(config, key, ckind, cwhere)
-    if parse_config is not None:
-        config = parse_config(config, cwhere)
+    if kdef.parse_config is not None:
+        config = kdef.parse_config(config, cwhere)
     return DynamicTemplate(
         name=name,
         kind=kind,
-        schema=_parse_param_schema(read(d, "params", OBJECT, where, default={}), where, params),
+        schema=_parse_param_schema(
+            read(d, "params", OBJECT, where, default={}), where, kdef.params),
         config=config,
     )
+
+
+def _check_template_refs(templates: dict) -> None:
+    """Each native template a dynamic kind reads by a config key exists and
+    has the pins the kind's builder reads."""
+    native = key_of({n for n, t in templates.items() if isinstance(t, NativeTemplate)},
+                    "a native template")
+    for tpl in templates.values():
+        if isinstance(tpl, DynamicTemplate):
+            for key, pins in _KIND_BUILDERS[tpl.kind].templates.items():
+                at = f"template {tpl.name}.config.{key}"
+                ref = templates[check(tpl.config[key], native, at)]
+                for pin in pins:
+                    if pin not in ref.pins:
+                        raise ValidationError(f"{at}: template {ref.name} has no pin {pin!r}")
 
 
 def _parse_grid(name: str, d: dict, layer_name: Kind) -> GridSpec:
@@ -305,6 +322,7 @@ def load_tech(text: str | bytes) -> TechDB:
         tname: _parse_template(tname, tdef)
         for tname, tdef in read(doc, "templates", OBJECT, "tech", default={}).items()
     }
+    _check_template_refs(templates)
     grids = {
         gname: _parse_grid(gname, gdef, layer_name)
         for gname, gdef in read(doc, "grids", OBJECT, "tech", default={}).items()

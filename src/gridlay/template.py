@@ -10,7 +10,7 @@ instance with one bounding box, one transform, and one pin set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from .errors import (
     BOOL,
@@ -161,7 +161,7 @@ class DynamicTemplate:
         clean = validate_params(self.schema, params)
         if self.kind not in _KIND_BUILDERS:
             raise BadParams(f"template {self.name}: unknown kind {self.kind!r}")
-        size, subelements, pins = _KIND_BUILDERS[self.kind][0](self, clean, tech)
+        size, subelements, pins = _KIND_BUILDERS[self.kind].build(self, clean, tech)
         return VirtualInstance(
             master=self.name,
             params=clean,
@@ -391,6 +391,11 @@ def _build_scan_bit(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
     return Point(width, core.size.y), subelements, pins
 
 
+# The native templates a scan_bit names, by config key, and the pins
+# _build_scan_bit reads of each.
+_SCAN_BIT_PINS = {"core": ("scan_in", "scan_out", "clk"), "levelshift": ("out",)}
+
+
 def _parse_strip_config(cfg: dict, where: str) -> dict:
     """A strip's cell rects and pins, parsed once at load."""
     rects = tuple(
@@ -400,20 +405,30 @@ def _parse_strip_config(cfg: dict, where: str) -> dict:
     return dict(cfg, cell_rects=rects, pins=pins)
 
 
-# Each built-in dynamic kind: its builder, the params the builder reads, the
-# config keys it reads with what each must hold, and a parser the tech loader
-# applies to the checked config (None: the builder reads it as is). The loader
-# rejects any other kind, a schema without one of the params and a config
-# without one of the keys.
-_KIND_BUILDERS: dict[str, tuple[Callable, tuple[str, ...], dict[str, Kind], Callable | None]] = {
-    "mos": (_build_mos, ("nf", "vth", "channel"), {
+class KindDef(NamedTuple):
+    """A built-in dynamic kind, with what its builder reads so that the tech
+    loader can reject a template the builder would fail on."""
+
+    build: Callable                     # (template, params, tech) -> (size, subelements, pins)
+    params: dict[str, str]              # each param it reads -> its type
+    config: dict[str, Kind]             # each config key it reads -> what the key must hold
+    parse_config: Callable | None = None    # applied to the checked config at load
+    templates: dict[str, tuple[str, ...]] = {}  # config key naming a native template -> pins read
+
+
+# The loader rejects any other kind, a schema without one of the params its
+# entry names or typing it otherwise, a config without one of the keys, and a
+# named template that is not native or lacks one of the pins.
+_KIND_BUILDERS: dict[str, KindDef] = {
+    "mos": KindDef(_build_mos, {"nf": "int", "vth": "str", "channel": "str"}, {
         "poly_pitch": POS_INT, "row_height": POS_INT, "poly_width": POS_INT,
         "poly_margin": NONNEG_INT, "active_margin": NONNEG_INT,
         "poly_layer": STR, "active_layer": STR, "vth_markers": OBJECT, "channel_markers": OBJECT,
         "pin_size": POS_INT, "pin_margin": NONNEG_INT, "pin_layer": STR,
-    }, None),
-    "strip": (_build_strip, ("n",), {
+    }),
+    "strip": KindDef(_build_strip, {"n": "int"}, {
         "cell_width": POS_INT, "row_height": POS_INT, "cell_rects": LIST,
     }, _parse_strip_config),
-    "scan_bit": (_build_scan_bit, ("with_levelshift",), {"core": STR, "levelshift": STR}, None),
+    "scan_bit": KindDef(_build_scan_bit, {"with_levelshift": "bool"},
+                        {"core": STR, "levelshift": STR}, templates=_SCAN_BIT_PINS),
 }

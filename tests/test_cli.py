@@ -136,6 +136,7 @@ def test_check_rejects_bad_pin_wire_index(tmp_path, capsys, finfet, index):
     ("wires", "width", None),   # deleted
     ("instances", "origin", "ab"),   # unchecked, a TypeError inside check_all
     ("pins", "name", 7),   # unchecked, a TypeError in the pin sort of the writer
+    ("pins", "wire", 0),   # unchecked, the pin labels a wire that is no pin
 ])
 def test_broken_document_exits_1_naming_the_field(tmp_path, capsys, command, section, field, value):
     out = tmp_path / "d.json"
@@ -176,7 +177,7 @@ def _str_strip_count(templates, doc):
 @pytest.mark.parametrize("command", ["check", "postprocess"])
 @pytest.mark.parametrize("edit", [_no_scan_in, _dynamic_core, _str_strip_count])
 def test_rebuild_against_mismatched_templates_exits_1(tmp_path, capsys, command, edit):
-    # The tech loads, but a builder fails on the document's instances.
+    # Templates a builder would fail on: the tech fails to load, naming the template.
     tech = json.loads(resources.files("gridlay").joinpath("techs/mock_finfet.json").read_text())
     src = tmp_path / "d.json"
     assert run(["gen", "--tech", "mock_finfet", "--generator", "scan", "--out", str(src)]) == 0
@@ -190,7 +191,7 @@ def test_rebuild_against_mismatched_templates_exits_1(tmp_path, capsys, command,
         argv += ["--pass", "cuts", "--out", str(tmp_path / "o.json")]
     assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: instances[") and "Traceback" not in err
+    assert err.startswith("error: template ") and "Traceback" not in err
 
 
 def test_postprocess_cuts_pass(tmp_path, finfet):

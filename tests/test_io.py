@@ -349,10 +349,12 @@ def test_rebuild_errors_name_the_field(finfet, section, change, field):
     ("wires", {"layer": 5}, "layer"),
     ("pins", {"name": 7}, "name"),
     ("pins", {"net": 7}, "net"),
+    ("pins", {"wire": 0}, "wire"),   # a wire that is no pin
+    ("pins", {"wire": 4}, "wire"),   # the pin wire of another net
 ], ids=["origin-str", "origin-str-coord", "track-str", "lo-hi-str", "via-unknown", "via-list",
         "pos-str", "bbox-str", "track-bool", "lo-bool", "hi-bool", "width-bool", "origin-bool",
         "pos-bool", "bbox-bool", "is_pin-str", "net-list", "color-int", "layer-int", "pin-name-int",
-        "pin-net-int"])
+        "pin-net-int", "pin-wire-not-pin", "pin-wire-other-net"])
 def test_rebuild_rejects_values_that_would_fail_later(finfet, section, changes, field):
     # Values the geometry takes without complaint; unchecked, they surface as a
     # bare TypeError or KeyError in check_all or an exporter.

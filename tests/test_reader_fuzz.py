@@ -6,6 +6,7 @@ section). Reading, and for JSON also rebuilding and writing the rebuilt
 design as JSON and GDS, either succeeds or raises a LayoutError subclass.
 """
 
+import copy
 import json
 
 import pytest
@@ -62,14 +63,14 @@ def mutate(doc: dict, where: str, k: int, f: int, swap: int | None) -> None:
         if swap is None:
             doc.pop(where, None)
         else:
-            doc[where] = SWAPS[swap]
+            doc[where] = copy.deepcopy(SWAPS[swap])
         return
     entry = entries[k % len(entries)]
     key = sorted(entry)[f % len(entry)]
     if swap is None:
         del entry[key]
     else:
-        entry[key] = SWAPS[swap]
+        entry[key] = copy.deepcopy(SWAPS[swap])
 
 
 @FUZZ

@@ -1,3 +1,4 @@
+import copy
 import json
 from importlib import resources
 
@@ -190,6 +191,13 @@ BAD_VALUES = [
     (("templates", "tap", "config", "cell_rects", 0, "rect"), ["a", 0, 1, 1],
      "template tap.config.cell_rects[0].rect"),
     (("templates", "tap", "config", "pins", "tap", "layer"), 5, "template tap.config.pins.tap.layer"),
+    (("templates", "tap", "params", "n", "type"), "str", "template tap.params.n.type"),
+    (("templates", "mos", "params", "vth", "type"), "int", "template mos.params.vth.type"),
+    (("templates", "scan_bit", "params", "with_levelshift", "type"), "int",
+     "template scan_bit.params.with_levelshift.type"),
+    (("templates", "scan_bit", "config", "core"), "tap", "template scan_bit.config.core"),
+    (("templates", "scan_bit", "config", "levelshift"), "nosuch",
+     "template scan_bit.config.levelshift"),
 ]
 
 
@@ -232,6 +240,20 @@ def test_missing_field_is_named(path, field):
         load_tech(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key,template,pin", [
+    ("core", "scan_core", "scan_in"),
+    ("core", "scan_core", "scan_out"),
+    ("core", "scan_core", "clk"),
+    ("levelshift", "lvlshift", "out"),
+])
+def test_scan_bit_templates_need_the_pins_its_builder_reads(key, template, pin):
+    doc = finfet_doc()
+    del doc["templates"][template]["pins"][pin]
+    named = rf"^template scan_bit\.config\.{key}: template {template} has no pin '{pin}'$"
+    with pytest.raises(ValidationError, match=named):
+        load_tech(json.dumps(doc))
+
+
 def test_undecodable_bytes_are_a_parse_error(tmp_path):
     data = fixture_text("mock_finfet").encode().replace(b'"m1"', b'"m\xff1"', 1)
     with pytest.raises(ParseError):
@@ -259,13 +281,21 @@ def mutate(doc, steps: list[int], swap: int | None) -> None:
         child = node[key]
         if depth == len(steps) - 1 or not (isinstance(child, (dict, list)) and child):
             if swap is not None:
-                node[key] = SWAPS[swap]
+                node[key] = copy.deepcopy(SWAPS[swap])
             elif isinstance(node, dict):
                 del node[key]
             else:
                 node.pop(key)
             return
         node = child
+
+
+def test_mutate_leaves_the_swap_values_unchanged():
+    doc = {"a": 1, "b": 2}
+    mutate(doc, [1], 8)          # doc["b"] = [0, 0, 0]
+    mutate(doc, [1, 0], None)    # delete doc["b"][0]
+    assert doc == {"a": 1, "b": [0, 0]}
+    assert SWAPS[8] == [0, 0, 0]
 
 
 @FUZZ
