@@ -186,8 +186,9 @@ class VirtualInstance:
 
         origin + 0.5*(I - M) * size + M * q
 
-    with M = diag(sx, sy) the transform's sign matrix, so the absolute bounding box is the box of
-    the declared size anchored at the origin for all four orientations.
+    with M = diag(sx, sy) the transform's sign matrix, so the absolute
+    bounding box is the box of the declared size anchored at the origin for
+    all four orientations.
 
     Every copy made by `at()` shares one cache of the master's flattened
     geometry relative to the anchor, filled once per transform, so placing a
