@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .design import Design, Pin, PlacedVia, Wire
 from .errors import (
@@ -57,7 +58,121 @@ class LayoutDocument:
         return self.data["tech"]
 
     def to_bytes(self) -> bytes:
-        return (json.dumps(self.data, indent=2, ensure_ascii=True) + "\n").encode()
+        """The canonical bytes: `json.dumps(data, indent=2, ensure_ascii=True)`
+        plus a newline, for a document that holds the schema's fields.
+
+        The writer knows the schema: it emits the schema's fields in schema
+        order, one template per section entry, so the unknown keys of a read
+        document are not re-emitted. Only `pgrid` and each instance's `params`
+        are encoded generically, the params once per dict object.
+        """
+        data = self.data
+        q = _Quoted({None: "null"})
+        params: dict[int, str] = {}
+        instances = []
+        for e in data["instances"]:
+            p = e["params"]
+            text = params.get(id(p))
+            if text is None:
+                text = params[id(p)] = _free(p, 6)
+            o = e["origin"]
+            instances.append(_INSTANCE % (q[e["master"]], text, o[0], o[1], q[e["transform"]]))
+        wires = [
+            _WIRE % (q[w["layer"]], q[w["axis"]], w["track"], w["lo"], w["hi"], w["width"],
+                     "true" if w["is_pin"] else "false", q[w["net"]], q[w["color"]])
+            for w in data["wires"]
+        ]
+        vias = [_VIA % (q[v["via"]], v["pos"][0], v["pos"][1]) for v in data["vias"]]
+        pins = [_PIN % (q[p["name"]], q[p["net"]], p["wire"]) for p in data["pins"]]
+        rects = []
+        for r in data["rects"]:
+            b = r["bbox"]
+            rects.append(_RECT % (q[r["layer"]], r["datatype"], q[r["purpose"]], q[r["src"]],
+                                  b[0], b[1], b[2], b[3]))
+        return "\n  ".join((
+            "{",
+            '"schema_version": %d,' % data["schema_version"],
+            '"design": %s,' % q[data["design"]],
+            '"tech": %s,' % q[data["tech"]],
+            '"grid": %s,' % q[data["grid"]],
+            '"pgrid": %s,' % _free(data["pgrid"], 2),
+            _section("instances", instances) + ",",
+            _section("wires", wires) + ",",
+            _section("vias", vias) + ",",
+            _section("pins", pins) + ",",
+            _section("rects", rects),
+        )).encode() + b"\n}\n"
+
+
+class _Quoted(dict):
+    """The JSON text of each string, encoded once per distinct value."""
+
+    def __missing__(self, s: str) -> str:
+        text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
+def _free(value, depth: int) -> str:
+    """A free-form value as `indent=2` lays it out `depth` spaces deep."""
+    return json.dumps(value, indent=2, ensure_ascii=True).replace("\n", "\n" + " " * depth)
+
+
+def _section(name: str, entries: list[str]) -> str:
+    if not entries:
+        return '"%s": []' % name
+    return '"%s": [\n%s\n  ]' % (name, ",\n".join(entries))
+
+
+# One entry of each section, laid out as `indent=2` lays it out in its list.
+_INSTANCE = """\
+    {
+      "master": %s,
+      "params": %s,
+      "origin": [
+        %d,
+        %d
+      ],
+      "transform": %s
+    }"""
+_WIRE = """\
+    {
+      "layer": %s,
+      "axis": %s,
+      "track": %d,
+      "lo": %d,
+      "hi": %d,
+      "width": %d,
+      "is_pin": %s,
+      "net": %s,
+      "color": %s
+    }"""
+_VIA = """\
+    {
+      "via": %s,
+      "pos": [
+        %d,
+        %d
+      ]
+    }"""
+_PIN = """\
+    {
+      "name": %s,
+      "net": %s,
+      "wire": %d
+    }"""
+_RECT = """\
+    {
+      "layer": %s,
+      "datatype": %d,
+      "purpose": %s,
+      "src": %s,
+      "bbox": [
+        %d,
+        %d,
+        %d,
+        %d
+      ]
+    }"""
 
 
 def _params_key(params: dict) -> str:
@@ -65,18 +180,22 @@ def _params_key(params: dict) -> str:
 
 
 def design_to_document(d: Design) -> LayoutDocument:
-    instances = sorted(
-        (
-            {
-                "master": vi.master,
-                "params": dict(sorted(vi.params.items())),
-                "origin": [vi.origin.x, vi.origin.y],
-                "transform": vi.transform.value,
-            }
-            for vi in d.instances
-        ),
-        key=lambda e: (e["master"], _params_key(e["params"]), e["origin"], e["transform"]),
-    )
+    # One sorted params dict and sort key per params object: the copies of a
+    # master share its params, and so the writer encodes them once. The key
+    # stays the JSON text, which orders instances otherwise than the tuple.
+    shared: dict[int, tuple[dict, str]] = {}
+    order = []
+    for vi in d.instances:
+        s = shared.get(id(vi.params))
+        if s is None:
+            params = dict(sorted(vi.params.items()))
+            s = shared[id(vi.params)] = (params, _params_key(params))
+        order.append((vi.master, s[1], [vi.origin.x, vi.origin.y], vi.transform.value, s[0]))
+    order.sort(key=lambda e: e[:4])
+    instances = [
+        {"master": master, "params": params, "origin": origin, "transform": t}
+        for master, _, origin, t, params in order
+    ]
 
     wire_order = sorted(
         range(len(d.wires)),
