@@ -333,8 +333,13 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     fields = (("layer", layer), ("axis", one_of("h", "v")), ("track", INT), ("lo", INT),
               ("hi", INT), ("width", POS_INT), ("is_pin", BOOL), ("net", or_null(STR)),
               ("color", one_of("A", "B", None)))
+    colorable = {name for name, rule in tech.layers.items() if rule.colorable}
     for k, e in enumerate(data["wires"]):
-        d.wires.append(Wire(*read_fields(e, fields, "wires", k)))
+        w = Wire(*read_fields(e, fields, "wires", k))
+        if w.color is not None and w.layer not in colorable:
+            raise ValidationError(f"wires[{k}].color: must be null on layer {w.layer!r}, "
+                                  f"which is not colorable, got {w.color!r}")
+        d.wires.append(w)
 
     fields = (("via", key_of(tech.vias, f"a via of {tech.name}")), ("pos", PAIR))
     for k, e in enumerate(data["vias"]):
@@ -344,8 +349,12 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     wire = Kind(lambda v: type(v) is int and 0 <= v < len(d.wires),
                 f"an index into the {len(d.wires)} wires")
     fields = (("name", STR), ("net", STR), ("wire", wire))
+    bound: dict[str, str] = {}  # pin name -> net, as Design.add_pin binds them
     for k, e in enumerate(data["pins"]):
         name, net, w = read_fields(e, fields, "pins", k)
+        if bound.setdefault(name, net) != net:
+            raise ValidationError(f"pins[{k}].name: pin {name!r} already bound to net "
+                                  f"{bound[name]!r}, got net {net!r}")
         wire = d.wires[w]
         if not wire.is_pin or wire.net != net:  # a pin promotes its wire onto its net
             raise ValidationError(f"pins[{k}].wire: must index a pin wire on net {net!r}, got "

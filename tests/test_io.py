@@ -380,6 +380,31 @@ def test_rebuild_rejects_bad_pgrid_values(finfet, axis, field, value):
         document_to_design(doc, finfet)
 
 
+def test_rebuild_binds_each_pin_name_to_one_net(finfet):
+    # Design.add_pin's rule: a pin name may repeat on its own net only.
+    doc = read_layout_json(write_layout_json(run_flow("dac", {"bits": 2}, finfet)))
+    pins = doc.data["pins"]
+    out = next(p for p in pins if p["name"] == "out")
+    pins.append(dict(out))
+    assert [p.name for p in document_to_design(doc, finfet).pins].count("out") == 2
+    pins.append({"name": "b0", "net": "out", "wire": out["wire"]})
+    with pytest.raises(ValidationError, match=rf"^pins\[{len(pins) - 1}\]\.name: pin 'b0' "
+                                              r"already bound to net 'b0', got net 'out'$"):
+        document_to_design(doc, finfet)
+
+
+def test_rebuild_rejects_a_color_on_a_layer_that_is_not_colorable(planar):
+    # Unchecked, the wire rebuilds and is written back with a colorA rect,
+    # which assign_colors would refuse with NotColorable.
+    doc = read_layout_json(write_layout_json(run_flow("dac", {"bits": 1}, planar)))
+    wire = doc.data["wires"][0]
+    assert wire["layer"] == "m1" and not planar.layer("m1").colorable
+    wire["color"] = "A"
+    with pytest.raises(ValidationError, match=r"^wires\[0\]\.color: must be null on layer 'm1', "
+                                              r"which is not colorable, got 'A'$"):
+        document_to_design(doc, planar)
+
+
 def test_rebuild_errors_name_the_instance_of_bad_params(finfet):
     doc = read_layout_json(write_layout_json(run_flow("dac", {"bits": 1}, finfet)))
     doc.data["instances"][1]["params"]["nf"] = "one"
