@@ -221,14 +221,15 @@ def _parse_param_schema(d: dict, where: str, required: dict[str, str]) -> dict[s
     return schema
 
 
-def _parse_template(name: str, d: dict):
+def _parse_template(name: str, d: dict, layer_name: Kind):
     where = f"template {name}"
     kind = read(d, "kind", one_of("native", *_KIND_BUILDERS), where)
     if kind == "native":
         sx, sy = read(d, "size", PAIR, where)
-        pins = _parse_pins(read(d, "pins", OBJECT, where, default={}), where)
+        pins = _parse_pins(read(d, "pins", OBJECT, where, default={}), where, layer_name)
         geometry = tuple(
-            _parse_rect(e, where) for e in read(d, "geometry", LIST, where, default=[])
+            _parse_rect(e, where, layer_name)
+            for e in read(d, "geometry", LIST, where, default=[])
         )
         try:
             return NativeTemplate(name=name, size=Point(sx, sy), pins=pins, geometry=geometry)
@@ -240,7 +241,7 @@ def _parse_template(name: str, d: dict):
     for key, ckind in kdef.config.items():
         read(config, key, ckind, cwhere)
     if kdef.parse_config is not None:
-        config = kdef.parse_config(config, cwhere)
+        config = kdef.parse_config(config, cwhere, layer_name)
     return DynamicTemplate(
         name=name,
         kind=kind,
@@ -319,7 +320,7 @@ def load_tech(text: str | bytes) -> TechDB:
         vias[via.name] = via
 
     templates = {
-        tname: _parse_template(tname, tdef)
+        tname: _parse_template(tname, tdef, layer_name)
         for tname, tdef in read(doc, "templates", OBJECT, "tech", default={}).items()
     }
     _check_template_refs(templates)

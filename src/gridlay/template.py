@@ -24,6 +24,7 @@ from .errors import (
     BadParams,
     Kind,
     UnknownPin,
+    check,
     one_of,
     or_null,
     read,
@@ -51,18 +52,18 @@ class PinDef:
     net: str | None = None
 
 
-def _parse_rect(e: dict, where: str) -> Rect:
+def _parse_rect(e: dict, where: str, layer_name: Kind) -> Rect:
     x0, y0, x1, y1 = read(e, "rect", QUAD, where)
-    layer = read(e, "layer", STR, where)
+    layer = read(e, "layer", layer_name, where)
     purpose = read(e, "purpose", one_of(*PURPOSES), where, default="drawing")
     return Rect(layer, Point(x0, y0), Point(x1, y1), purpose)
 
 
-def _parse_pins(d: dict, where: str) -> dict[str, PinDef]:
+def _parse_pins(d: dict, where: str, layer_name: Kind) -> dict[str, PinDef]:
     pins = {}
     for pname, p in d.items():
         at = f"{where}.pins.{pname}"
-        r = _parse_rect(p, at)
+        r = _parse_rect(p, at, layer_name)
         pins[pname] = PinDef(r.with_purpose("pin"), read(p, "net", or_null(STR), at, default=None))
     return pins
 
@@ -397,12 +398,24 @@ def _build_scan_bit(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
 _SCAN_BIT_PINS = {"core": ("scan_in", "scan_out", "clk"), "levelshift": ("out",)}
 
 
-def _parse_strip_config(cfg: dict, where: str) -> dict:
+def _parse_mos_config(cfg: dict, where: str, layer_name: Kind) -> dict:
+    """A mos template's layers and vth/channel marker layers, checked at load."""
+    for key in ("poly_layer", "active_layer", "pin_layer"):
+        read(cfg, key, layer_name, where)
+    for key in ("vth_markers", "channel_markers"):
+        for choice, marker in cfg[key].items():
+            if marker is not None:  # no marker layer for this choice
+                check(marker, layer_name, f"{where}.{key}.{choice}")
+    return cfg
+
+
+def _parse_strip_config(cfg: dict, where: str, layer_name: Kind) -> dict:
     """A strip's cell rects and pins, parsed once at load."""
     rects = tuple(
-        _parse_rect(e, f"{where}.cell_rects[{i}]") for i, e in enumerate(cfg["cell_rects"])
+        _parse_rect(e, f"{where}.cell_rects[{i}]", layer_name)
+        for i, e in enumerate(cfg["cell_rects"])
     )
-    pins = _parse_pins(read(cfg, "pins", OBJECT, where, default={}), where)
+    pins = _parse_pins(read(cfg, "pins", OBJECT, where, default={}), where, layer_name)
     return dict(cfg, cell_rects=rects, pins=pins)
 
 
@@ -413,20 +426,21 @@ class KindDef(NamedTuple):
     build: Callable                     # (template, params, tech) -> (size, subelements, pins)
     params: dict[str, str]              # each param it reads -> its type
     config: dict[str, Kind]             # each config key it reads -> what the key must hold
-    parse_config: Callable | None = None    # applied to the checked config at load
+    parse_config: Callable | None = None    # (config, where, layer kind) -> config, at load
     templates: dict[str, tuple[str, ...]] = {}  # config key naming a native template -> pins read
 
 
 # The loader rejects any other kind, a schema without one of the params its
-# entry names or typing it otherwise, a config without one of the keys, and a
-# named template that is not native or lacks one of the pins.
+# entry names or typing it otherwise, a config without one of the keys, a
+# layer name the tech does not define, and a named template that is not
+# native or lacks one of the pins.
 _KIND_BUILDERS: dict[str, KindDef] = {
     "mos": KindDef(_build_mos, {"nf": "int", "vth": "str", "channel": "str"}, {
         "poly_pitch": POS_INT, "row_height": POS_INT, "poly_width": POS_INT,
         "poly_margin": NONNEG_INT, "active_margin": NONNEG_INT,
         "poly_layer": STR, "active_layer": STR, "vth_markers": OBJECT, "channel_markers": OBJECT,
         "pin_size": POS_INT, "pin_margin": NONNEG_INT, "pin_layer": STR,
-    }),
+    }, _parse_mos_config),
     "strip": KindDef(_build_strip, {"n": "int"}, {
         "cell_width": POS_INT, "row_height": POS_INT, "cell_rects": LIST,
     }, _parse_strip_config),

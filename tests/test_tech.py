@@ -198,6 +198,23 @@ BAD_VALUES = [
     (("templates", "scan_bit", "config", "core"), "tap", "template scan_bit.config.core"),
     (("templates", "scan_bit", "config", "levelshift"), "nosuch",
      "template scan_bit.config.levelshift"),
+    # Layer names inside templates must name a layer of the tech.
+    (("templates", "mos", "config", "vth_markers", "svt"), "nosuch",
+     "template mos.config.vth_markers.svt: must be a defined layer, got 'nosuch'"),
+    (("templates", "mos", "config", "channel_markers", "p"), "nosuch",
+     "template mos.config.channel_markers.p: must be a defined layer, got 'nosuch'"),
+    (("templates", "mos", "config", "poly_layer"), "nosuch",
+     "template mos.config.poly_layer: must be a defined layer, got 'nosuch'"),
+    (("templates", "mos", "config", "active_layer"), "nosuch", "template mos.config.active_layer"),
+    (("templates", "mos", "config", "pin_layer"), "nosuch", "template mos.config.pin_layer"),
+    (("templates", "dummy", "geometry", 0, "layer"), "nosuch",
+     "template dummy.layer: must be a defined layer, got 'nosuch'"),
+    (("templates", "scan_core", "pins", "clk", "layer"), "nosuch",
+     "template scan_core.pins.clk.layer: must be a defined layer, got 'nosuch'"),
+    (("templates", "tap", "config", "cell_rects", 1, "layer"), "nosuch",
+     "template tap.config.cell_rects[1].layer: must be a defined layer, got 'nosuch'"),
+    (("templates", "tap", "config", "pins", "tap", "layer"), "nosuch",
+     "template tap.config.pins.tap.layer"),
 ]
 
 
