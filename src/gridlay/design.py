@@ -22,6 +22,9 @@ if TYPE_CHECKING:
     from .tech import LayerDef, TechDB
 
 
+_COLOR_PURPOSE = {"A": "colorA", "B": "colorB"}  # wire color -> purpose of its shape
+
+
 @dataclass
 class Wire:
     """A routed segment in a track.
@@ -53,14 +56,13 @@ class Wire:
     def length(self) -> int:
         return self.hi - self.lo
 
-    def rect(self) -> Rect:
-        purpose = {"A": "colorA", "B": "colorB"}.get(self.color, "drawing")
-        half = self.width // 2
-        c0 = self.track - half
-        c1 = c0 + self.width
+    def box(self) -> tuple[int, int, int, int]:
+        """(x0, y0, x1, y1): lo to hi along the wire, track - width // 2 to
+        that plus the width across it."""
+        c0 = self.track - self.width // 2
         if self.axis == "h":
-            return Rect(self.layer, Point(self.lo, c0), Point(self.hi, c1), purpose)
-        return Rect(self.layer, Point(c0, self.lo), Point(c1, self.hi), purpose)
+            return self.lo, c0, self.hi, c0 + self.width
+        return c0, self.lo, c0 + self.width, self.hi
 
 
 @dataclass
@@ -78,7 +80,7 @@ class Pin:
     wire: Wire
 
     def rect(self) -> Rect:
-        return self.wire.rect().with_purpose("pin")
+        return Rect.of_row(self.wire.layer, *self.wire.box(), "pin")
 
 
 class Design:
@@ -202,24 +204,32 @@ class Design:
         """Cut shape plus the two landing pads of a placed via."""
         return [r.translated(via.pos) for r in self.tech.vias[via.via].rects]
 
-    def iter_flat(self) -> Iterator[tuple[Rect, str]]:
-        """Flattened geometry with a source tag: inst, wire, via, pin, raw."""
+    def iter_rows(self) -> Iterator[tuple]:
+        """Flattened geometry as flat rows (layer, x0, y0, x1, y1, purpose,
+        src), src one of inst, wire, via, pin, raw: each instance's rows in
+        placement order, then `own_rows`."""
         for vi in self.instances:
-            for r in vi.flatten():
-                yield r, "inst"
-        yield from self.iter_top()
+            yield from vi.rows()
+        yield from self.own_rows()
 
-    def iter_top(self) -> Iterator[tuple[Rect, str]]:
-        """The design's own shapes, without instance geometry: wire, via, pin, raw."""
+    def own_rows(self) -> Iterator[tuple]:
+        """The design's own shapes as flat rows, without instance geometry:
+        wires, vias (cut, lower pad, upper pad), pins, raw rects."""
         for w in self.wires:
-            yield w.rect(), "wire"
+            yield (w.layer, *w.box(), _COLOR_PURPOSE.get(w.color, "drawing"), "wire")
         for via in self.vias:
-            for r in self.via_rects(via):
-                yield r, "via"
+            x, y = via.pos.x, via.pos.y
+            for layer, x0, y0, x1, y1, purpose in self.tech.vias[via.via].rows:
+                yield layer, x0 + x, y0 + y, x1 + x, y1 + y, purpose, "via"
         for pin in self.pins:
-            yield pin.rect(), "pin"
+            yield (pin.wire.layer, *pin.wire.box(), "pin", "pin")
         for r in self.rects:
-            yield r, "raw"
+            yield r.layer, r.lo.x, r.lo.y, r.hi.x, r.hi.y, r.purpose, "raw"
+
+    def iter_flat(self) -> Iterator[tuple[Rect, str]]:
+        """`iter_rows` as (Rect, src) pairs."""
+        for row in self.iter_rows():
+            yield Rect.of_row(*row[:6]), row[6]
 
 
 # -- DRC-lite spacing check ---------------------------------------------------
@@ -240,65 +250,55 @@ class Violation:
         )
 
 
-def _gaps(a: Rect, b: Rect) -> tuple[int, int]:
-    dx = max(a.lo.x - b.hi.x, b.lo.x - a.hi.x, 0)
-    dy = max(a.lo.y - b.hi.y, b.lo.y - a.hi.y, 0)
-    return dx, dy
-
-
-def _cut_suppressed(a: Rect, b: Rect, cuts: list[Rect]) -> bool:
-    """True when a cut shape bisects the gap between two rects.
+def _cut_suppressed(a: tuple, b: tuple, cuts: list[tuple]) -> bool:
+    """True when a cut shape bisects the gap between two flat rows.
 
     The cut must span the gap box across the gap axis and its center must
     fall inside the gap span.
     """
-    dx, dy = _gaps(a, b)
+    _, ax0, ay0, ax1, ay1 = a[:5]
+    _, bx0, by0, bx1, by1 = b[:5]
+    dx = max(ax0 - bx1, bx0 - ax1, 0)
+    dy = max(ay0 - by1, by0 - ay1, 0)
     if dx > 0 and dy > 0:
         return False  # diagonal gaps are not cuttable
     if dx > 0:
-        g0, g1 = min(a.hi.x, b.hi.x), max(a.lo.x, b.lo.x)
-        c0, c1 = max(a.lo.y, b.lo.y), min(a.hi.y, b.hi.y)
-        for c in cuts:
-            if c.lo.y <= c0 and c.hi.y >= c1 and g0 <= (c.lo.x + c.hi.x) // 2 <= g1:
-                return True
-    else:
-        g0, g1 = min(a.hi.y, b.hi.y), max(a.lo.y, b.lo.y)
-        c0, c1 = max(a.lo.x, b.lo.x), min(a.hi.x, b.hi.x)
-        for c in cuts:
-            if c.lo.x <= c0 and c.hi.x >= c1 and g0 <= (c.lo.y + c.hi.y) // 2 <= g1:
-                return True
-    return False
+        g0, g1 = min(ax1, bx1), max(ax0, bx0)
+        c0, c1 = max(ay0, by0), min(ay1, by1)
+        return any(c[2] <= c0 and c[4] >= c1 and g0 <= (c[1] + c[3]) // 2 <= g1 for c in cuts)
+    g0, g1 = min(ay1, by1), max(ay0, by0)
+    c0, c1 = max(ax0, bx0), min(ax1, bx1)
+    return any(c[1] <= c0 and c[3] >= c1 and g0 <= (c[2] + c[4]) // 2 <= g1 for c in cuts)
 
 
-def _shape_index(d: Design) -> tuple[dict[str, list[Rect]], dict[str, list[Rect]]]:
-    """Bucket the flattened design by layer in one iter_flat pass.
+def _shape_index(d: Design) -> tuple[dict[str, list[tuple]], dict[str, list[tuple]]]:
+    """Bucket the design's flat rows by layer in one iter_rows pass.
 
     Returns the spacing shapes per layer (pin-purpose label overlays left
-    out) and the cut-purpose shapes per layer, both in iter_flat order. A
+    out) and the cut-purpose shapes per layer, both in iter_rows order. A
     shape on a layer the technology does not define raises UnknownLayer.
     """
-    shapes: dict[str, list[Rect]] = {name: [] for name in d.tech.layers}
-    cuts: dict[str, list[Rect]] = {name: [] for name in d.tech.layers}
-    for r, _ in d.iter_flat():
-        bucket = shapes.get(r.layer)
+    shapes: dict[str, list[tuple]] = {name: [] for name in d.tech.layers}
+    cuts: dict[str, list[tuple]] = {name: [] for name in d.tech.layers}
+    for row in d.iter_rows():
+        bucket = shapes.get(row[0])
         if bucket is None:
-            raise UnknownLayer(f"{d.tech.name} has no layer {r.layer!r}")
-        if r.purpose == "cut":
-            cuts[r.layer].append(r)
-        if r.purpose != "pin":
-            bucket.append(r)
+            raise UnknownLayer(f"{d.tech.name} has no layer {row[0]!r}")
+        if row[5] == "cut":
+            cuts[row[0]].append(row)
+        if row[5] != "pin":
+            bucket.append(row)
     return shapes, cuts
 
 
 def _check_layer(
-    rule: "LayerDef", shapes_by_layer: dict[str, list[Rect]], cuts_by_layer: dict[str, list[Rect]]
+    rule: "LayerDef", shapes_by_layer: dict[str, list[tuple]], cuts_by_layer: dict[str, list[tuple]]
 ) -> list[Violation]:
     shapes = shapes_by_layer[rule.name]
     cuts = cuts_by_layer[rule.cut.cut_layer] if rule.cut is not None else []
     s = rule.min_spacing
     s_sq = s * s
     n = len(shapes)
-    boxes = [(r.lo.x, r.lo.y, r.hi.x, r.hi.y) for r in shapes]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -313,8 +313,8 @@ def _check_layer(
     near: list[tuple[int, int, int]] = []   # (gap_sq, i, j) with i < j
     active: dict[int, tuple[int, int, int]] = {}   # index -> (lo.y, hi.x, hi.y)
     expiry: list[tuple[int, int]] = []      # heap of (hi.x, index)
-    for j in sorted(range(n), key=lambda k: boxes[k][0]):
-        lx, ly, hx, hy = boxes[j]
+    for j in sorted(range(n), key=lambda k: shapes[k][1]):
+        _, lx, ly, hx, hy, _, _ = shapes[j]
         reach = lx - s
         while expiry and expiry[0][0] <= reach:
             del active[heapq.heappop(expiry)[1]]
@@ -348,7 +348,8 @@ def _check_layer(
     out = []
     for gap_sq, i, j in sorted(best.values(), key=lambda e: (e[1], e[2])):
         if not _cut_suppressed(shapes[i], shapes[j], cuts):
-            out.append(Violation(rule.name, shapes[i], shapes[j], gap_sq))
+            out.append(Violation(rule.name, Rect.of_row(*shapes[i][:6]),
+                                 Rect.of_row(*shapes[j][:6]), gap_sq))
     return out
 
 
@@ -364,7 +365,7 @@ def check_spacing(d: Design, layer: str) -> list[Violation]:
     min_spacing is reported unless a cut shape on the layer's cut layer
     bisects it. Pin-purpose shapes are label overlays of their wires and are
     skipped. Diagonal gaps compare the exact Euclidean distance in integers.
-    Violations come in shape order (iter_flat order of the pair).
+    Violations come in shape order (iter_rows order of the pair).
     """
     return _check_layer(d.tech.layer(layer), *_shape_index(d))
 

@@ -11,13 +11,15 @@ foreign-file features.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 import struct
 from dataclasses import dataclass
 
 from .design import Design
 from .errors import GdsOverflow, ParseError, ValidationError
-from .geometry import Rect, Transform
+from .geometry import Transform
 from .tech import LayerDef
 from .template import param_tokens
 
@@ -154,6 +156,26 @@ def _coord(v: int) -> int:
     return v
 
 
+@functools.cache
+def _boundary_struct(points: int) -> struct.Struct:
+    """The five records of a BOUNDARY element with this many points, packed
+    as one: BOUNDARY, LAYER, DATATYPE, XY, ENDEL, each a (length, type) header."""
+    return struct.Struct(f">HH HHh HHh HH{2 * points}i HH")
+
+
+def _pack_boundary(e: Boundary) -> bytes:
+    n = len(e.xy)
+    try:
+        return _boundary_struct(n).pack(
+            4, BOUNDARY, 6, LAYER, e.layer, 6, DATATYPE, e.datatype,
+            4 + 8 * n, XY, *itertools.chain.from_iterable(e.xy), 4, ENDEL,
+        )
+    except struct.error:
+        for c in itertools.chain.from_iterable(e.xy):
+            _coord(c)  # raises GdsOverflow for a coordinate past 32 bits
+        raise
+
+
 def write_library(lib: Library) -> bytes:
     out = [
         _record(HEADER, struct.pack(">h", GDS_VERSION)),
@@ -166,12 +188,9 @@ def write_library(lib: Library) -> bytes:
         out.append(_record(STRNAME, _ascii(s.name)))
         for e in s.elements:
             if isinstance(e, Boundary):
-                out.append(_record(BOUNDARY))
-                out.append(_record(LAYER, struct.pack(">h", e.layer)))
-                out.append(_record(DATATYPE, struct.pack(">h", e.datatype)))
-                flat = [c for p in e.xy for c in (_coord(p[0]), _coord(p[1]))]
-                out.append(_record(XY, struct.pack(f">{len(flat)}i", *flat)))
-            elif isinstance(e, Sref):
+                out.append(_pack_boundary(e))
+                continue
+            if isinstance(e, Sref):
                 out.append(_record(SREF))
                 out.append(_record(SNAME, _ascii(e.sname)))
                 if e.strans is not None:
@@ -290,17 +309,22 @@ def _parse_library(it) -> Library:
     return Library(name, user_unit, db_unit, tuple(structures))
 
 
-def _rect_boundary(d: Design, r: Rect) -> Boundary:
-    layer = d.tech.layer(r.layer)
-    dt = gds_datatype(layer, r.purpose)
-    xy = (
-        (r.lo.x, r.lo.y),
-        (r.hi.x, r.lo.y),
-        (r.hi.x, r.hi.y),
-        (r.lo.x, r.hi.y),
-        (r.lo.x, r.lo.y),
-    )
-    return Boundary(layer.gds_layer, dt, xy)
+def _boundaries(d: Design, rows) -> list[Boundary]:
+    """One boundary per flat row, in (gds layer, datatype, x0, y0, x1, y1)
+    order, which is the order of (layer, datatype, xy) for their closed loops."""
+    codes: dict[tuple[str, str], tuple[int, int]] = {}  # (layer, purpose) -> gds layer, datatype
+    keys = []
+    for layer, x0, y0, x1, y1, purpose, _ in rows:
+        code = codes.get((layer, purpose))
+        if code is None:
+            rule = d.tech.layer(layer)
+            code = codes[layer, purpose] = (rule.gds_layer, gds_datatype(rule, purpose))
+        keys.append((*code, x0, y0, x1, y1))
+    keys.sort()
+    return [
+        Boundary(gl, dt, ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)))
+        for gl, dt, x0, y0, x1, y1 in keys
+    ]
 
 
 def master_struct_name(master: str, params) -> str:
@@ -309,40 +333,31 @@ def master_struct_name(master: str, params) -> str:
 
 def design_to_library(d: Design) -> Library:
     """Build the hierarchical model: one struct per instance master, one top."""
+    names = [master_struct_name(vi.master, vi.params) for vi in d.instances]
     masters: dict[str, object] = {}
-    for vi in d.instances:
-        sname = master_struct_name(vi.master, vi.params)
-        if sname not in masters:
-            masters[sname] = vi
+    for sname, vi in zip(names, d.instances):
+        masters.setdefault(sname, vi)
     structures = []
     for sname in sorted(masters):
-        elements = sorted(
-            (_rect_boundary(d, r) for r in masters[sname].local_geometry(Transform.R0)),
-            key=lambda b: (b.layer, b.datatype, b.xy),
-        )
+        elements = _boundaries(d, masters[sname].local_rows(Transform.R0))
         structures.append(Structure(sname, tuple(elements)))
 
-    top: list = sorted(
-        (_rect_boundary(d, r) for r, _ in d.iter_top()),
-        key=lambda b: (b.layer, b.datatype, b.xy),
-    )
+    top: list = _boundaries(d, d.own_rows())
 
     srefs = []
-    for vi in d.instances:
+    for sname, vi in zip(names, d.instances):
         strans, angle = _TRANSFORM_GDS[vi.transform]
         # The struct holds local R0 geometry; the stream transform acts
         # before translation, so the anchor shift keeps bboxes in place.
         anchor = vi.anchor()
-        srefs.append(
-            Sref(master_struct_name(vi.master, vi.params), (anchor.x, anchor.y), strans, angle)
-        )
+        srefs.append(Sref(sname, (anchor.x, anchor.y), strans, angle))
     top.extend(sorted(srefs, key=lambda s: (s.sname, s.pos)))
 
     texts = []
     for pin in d.pins:
         layer = d.tech.layer(pin.wire.layer)
-        r = pin.rect()
-        center = ((r.lo.x + r.hi.x) // 2, (r.lo.y + r.hi.y) // 2)
+        x0, y0, x1, y1 = pin.wire.box()
+        center = ((x0 + x1) // 2, (y0 + y1) // 2)
         texts.append(Text(layer.gds_layer, gds_datatype(layer, "pin"), center, pin.name))
     top.extend(sorted(texts, key=lambda t: (t.string, t.pos)))
 

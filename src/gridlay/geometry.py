@@ -83,6 +83,14 @@ class Rect:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @staticmethod
+    def of_row(layer: str, x0: int, y0: int, x1: int, y1: int, purpose: str) -> "Rect":
+        """The rect of a flat row's box, which is normalized and carries a
+        known purpose, so the rect skips __post_init__."""
+        out = object.__new__(Rect)
+        out.__dict__.update(layer=layer, lo=Point(x0, y0), hi=Point(x1, y1), purpose=purpose)
+        return out
+
     @property
     def width(self) -> int:
         return self.hi.x - self.lo.x

@@ -175,10 +175,6 @@ _RECT = """\
     }"""
 
 
-def _params_key(params: dict) -> str:
-    return json.dumps(params, sort_keys=True)
-
-
 def design_to_document(d: Design) -> LayoutDocument:
     # One sorted params dict and sort key per params object: the copies of a
     # master share its params, and so the writer encodes them once. The key
@@ -189,7 +185,7 @@ def design_to_document(d: Design) -> LayoutDocument:
         s = shared.get(id(vi.params))
         if s is None:
             params = dict(sorted(vi.params.items()))
-            s = shared[id(vi.params)] = (params, _params_key(params))
+            s = shared[id(vi.params)] = (params, json.dumps(params, sort_keys=True))
         order.append((vi.master, s[1], [vi.origin.x, vi.origin.y], vi.transform.value, s[0]))
     order.sort(key=lambda e: e[:4])
     instances = [
@@ -235,18 +231,16 @@ def design_to_document(d: Design) -> LayoutDocument:
         key=lambda e: (e["name"], e["wire"]),
     )
 
+    # The datatype is a function of (layer, purpose), so the rows' own order
+    # is the schema's (layer, bbox, purpose, src, datatype) order.
+    datatypes: dict[tuple[str, str], int] = {}
     rects = []
-    for r, src in d.iter_flat():
-        rects.append(
-            {
-                "layer": r.layer,
-                "datatype": gds_datatype(d.tech.layer(r.layer), r.purpose),
-                "purpose": r.purpose,
-                "src": src,
-                "bbox": [r.lo.x, r.lo.y, r.hi.x, r.hi.y],
-            }
-        )
-    rects.sort(key=lambda e: (e["layer"], e["bbox"], e["purpose"], e["src"], e["datatype"]))
+    for layer, x0, y0, x1, y1, purpose, src in sorted(d.iter_rows()):
+        dt = datatypes.get((layer, purpose))
+        if dt is None:
+            dt = datatypes[layer, purpose] = gds_datatype(d.tech.layer(layer), purpose)
+        rects.append({"layer": layer, "datatype": dt, "purpose": purpose, "src": src,
+                      "bbox": [x0, y0, x1, y1]})
 
     data = {
         "schema_version": SCHEMA_VERSION,
@@ -314,13 +308,14 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     layer = key_of(tech.layers, f"a layer of {tech.name}")
 
     # One generation per distinct (master, params); the copies placed from it
-    # share its flattened geometry.
-    masters: dict[tuple[str, str], VirtualInstance] = {}
+    # share its flattened geometry. The key holds each value's repr, which
+    # tells `true` from `1` where the values themselves compare equal.
+    masters: dict[tuple, VirtualInstance] = {}
     fields = (("master", key_of(tech.templates, f"a template of {tech.name}")), ("params", OBJECT),
               ("origin", PAIR), ("transform", one_of(*(t.value for t in Transform))))
     for k, e in enumerate(data["instances"]):
         name, params, o, t = read_fields(e, fields, "instances", k)
-        key = (name, _params_key(params))
+        key = (name, *sorted((p, repr(v)) for p, v in params.items()))
         vi = masters.get(key)
         if vi is None:
             try:

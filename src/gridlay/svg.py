@@ -8,8 +8,9 @@ to identical bytes.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .design import Design
-from .geometry import bbox_of
 
 # fills cycled over layers in tech order
 _PALETTE = (
@@ -23,19 +24,17 @@ _MARGIN = 40
 def write_svg(d: Design, styles: dict[str, str] | None = None) -> bytes:
     """Render the flattened design; `styles` maps layer name to a fill color."""
     styles = styles or {}
-    flat = [r for r, _ in d.iter_flat()]
-    rects = sorted(
-        (r for r in flat if r.purpose != "pin"),
-        key=lambda r: (r.layer, r.lo, r.hi, r.purpose),
-    )
-    bbox = bbox_of(flat)
-    if bbox is None:
+    rows = list(d.iter_rows())
+    # Row order is (layer, lo, hi, purpose) order up to `src`, which is not drawn.
+    shapes = sorted(row for row in rows if row[5] != "pin")
+    if not rows:
         lo_x = lo_y = 0
         w = h = 2 * _MARGIN
     else:
-        lo, hi = bbox
-        lo_x, lo_y = lo.x - _MARGIN, lo.y - _MARGIN
-        w, h = hi.x - lo.x + 2 * _MARGIN, hi.y - lo.y + 2 * _MARGIN
+        x0, y0 = min(map(itemgetter(1), rows)), min(map(itemgetter(2), rows))
+        x1, y1 = max(map(itemgetter(3), rows)), max(map(itemgetter(4), rows))
+        lo_x, lo_y = x0 - _MARGIN, y0 - _MARGIN
+        w, h = x1 - x0 + 2 * _MARGIN, y1 - y0 + 2 * _MARGIN
 
     fills = {}
     for i, name in enumerate(d.tech.layers):
@@ -49,16 +48,14 @@ def write_svg(d: Design, styles: dict[str, str] | None = None) -> bytes:
         '<g transform="scale(1,-1)">',
     ]
     current = None
-    for r in rects:
-        if r.layer != current:
+    for layer, x0, y0, x1, y1, _, _ in shapes:
+        if layer != current:
             if current is not None:
                 lines.append("</g>")
-            fill = fills.get(r.layer, "#888888")
-            lines.append(f'<g data-layer="{r.layer}" fill="{fill}" fill-opacity="0.55">')
-            current = r.layer
-        lines.append(
-            f'<rect x="{r.lo.x}" y="{r.lo.y}" width="{r.width}" height="{r.height}"/>'
-        )
+            fill = fills.get(layer, "#888888")
+            lines.append(f'<g data-layer="{layer}" fill="{fill}" fill-opacity="0.55">')
+            current = layer
+        lines.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}"/>')
     if current is not None:
         lines.append("</g>")
     lines.append("</g>")

@@ -82,7 +82,8 @@ class ViaDef:
 
     `rects` holds the cut and the lower and upper landing pads relative to the
     via center, built once here: a pad is the cut grown by its layer's
-    enclosure (0 for a layer without one) on every side.
+    enclosure (0 for a layer without one) on every side. `rows` holds the
+    same three as flat rows (layer, x0, y0, x1, y1, purpose).
     """
 
     name: str
@@ -92,6 +93,7 @@ class ViaDef:
     cut_size: tuple[int, int]
     enclosure: Mapping[str, int]
     rects: tuple[Rect, Rect, Rect] = field(init=False, repr=False, compare=False)
+    rows: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cw, ch = self.cut_size
@@ -103,7 +105,10 @@ class ViaDef:
             return Rect(layer, lo - Point(e, e), hi + Point(e, e))
 
         cut = Rect(self.cut_layer, lo, hi)
-        object.__setattr__(self, "rects", (cut, pad(self.lower), pad(self.upper)))
+        rects = (cut, pad(self.lower), pad(self.upper))
+        rows = tuple((r.layer, r.lo.x, r.lo.y, r.hi.x, r.hi.y, r.purpose) for r in rects)
+        object.__setattr__(self, "rects", rects)
+        object.__setattr__(self, "rows", rows)
 
     def pad(self, layer: str) -> Rect:
         """The landing pad on `layer` (one of lower, upper), relative to the center."""

@@ -191,9 +191,11 @@ class VirtualInstance:
     bounding box is the box of the declared size anchored at the origin for
     all four orientations.
 
-    Every copy made by `at()` shares one cache of the master's flattened
-    geometry relative to the anchor, filled once per transform, so placing a
-    master many times transforms its sub-element rects only once.
+    Every copy made by `at()` shares one cache, `_local`, of the master's
+    flat rows and pin rects relative to the anchor, filled once per
+    transform (keys: the transform, and (pin name, transform)), so placing a
+    master many times transforms its sub-element rects only once and each
+    placed row is an addition of the anchor.
     """
 
     master: str
@@ -244,33 +246,46 @@ class VirtualInstance:
         pos = self.anchor() + apply(self.transform, sub.offset)
         return pos, compose(self.transform, sub.transform)
 
-    def local_geometry(self, transform: Transform) -> tuple[Rect, ...]:
-        """Sub-element geometry under `transform`, relative to the anchor.
+    def local_rows(self, transform: Transform) -> tuple[tuple, ...]:
+        """Sub-element geometry under `transform`, relative to the anchor, as
+        flat rows (layer, x0, y0, x1, y1, purpose, "inst").
 
         Each rect r of a sub-element with offset o and orientation S becomes
         M*(S*r) + M*o. Computed once per transform and shared by every copy.
         """
-        rects = self._local.get(transform)
-        if rects is None:
-            rects = tuple(
-                apply_rect(compose(transform, sub.transform), r).translated(apply(transform, sub.offset))
-                for sub in self.subelements
-                for r in sub.rects
+        rows = self._local.get(transform)
+        if rows is None:
+            rects = (
+                apply_rect(compose(transform, s.transform), r).translated(apply(transform, s.offset))
+                for s in self.subelements for r in s.rects
             )
-            self._local[transform] = rects
-        return rects
+            rows = self._local[transform] = tuple(
+                (r.layer, r.lo.x, r.lo.y, r.hi.x, r.hi.y, r.purpose, "inst") for r in rects)
+        return rows
+
+    def rows(self) -> list[tuple]:
+        """All sub-element geometry as absolute flat rows."""
+        a = self.anchor()
+        ax, ay = a.x, a.y
+        return [
+            (layer, x0 + ax, y0 + ay, x1 + ax, y1 + ay, purpose, src)
+            for layer, x0, y0, x1, y1, purpose, src in self.local_rows(self.transform)
+        ]
 
     def flatten(self) -> list[Rect]:
         """All sub-element geometry in absolute coordinates."""
-        anchor = self.anchor()
-        return [r.translated(anchor) for r in self.local_geometry(self.transform)]
+        return [Rect.of_row(*row[:6]) for row in self.rows()]
 
     def pin_abs(self, name: str) -> Rect:
         """A pin rect transformed exactly like sub-element geometry."""
-        pin = self.pins.get(name)
-        if pin is None:
-            raise UnknownPin(f"{self.master} has no pin {name!r}")
-        return apply_rect(self.transform, pin.rect).translated(self.anchor())
+        key = (name, self.transform)
+        local = self._local.get(key)
+        if local is None:
+            pin = self.pins.get(name)
+            if pin is None:
+                raise UnknownPin(f"{self.master} has no pin {name!r}")
+            local = self._local[key] = apply_rect(self.transform, pin.rect)
+        return local.translated(self.anchor())
 
 
 def generate(tpl, params: Mapping[str, Any], tech: "TechDB") -> VirtualInstance:

@@ -1,9 +1,9 @@
 """Differential tests: shared-cache flattening against a placement oracle.
 
-Copies of a master share its flattened local geometry. The oracle here maps
-every sub-element rect itself, through origin + 0.5*(I - M)*size + M*q with
-q = S*c + offset for each corner c, using its own sign matrices; it calls
-neither flatten nor place_subelement.
+Copies of a master share its flat local rows and pin rects. The oracle here
+maps every sub-element rect itself, through origin + 0.5*(I - M)*size + M*q
+with q = S*c + offset for each corner c, and every pin rect with q = c, using
+its own sign matrices; it calls neither flatten, pin_abs nor place_subelement.
 """
 
 import random
@@ -29,10 +29,14 @@ EXTRA_PARAMS = {
 FLOWS = [("dac", {"bits": 3}), ("scan", {"n_bits": 3}), ("scan", {"n_bits": 2, "with_levelshift": True})]
 
 
-def oracle(vi: VirtualInstance) -> list[tuple]:
+def placed(vi: VirtualInstance) -> tuple[int, int, int, int]:
+    """The instance's sign matrix diag(mx, my) and where its local origin lands."""
     mx, my = SIGNS[vi.transform.value]
-    ax = vi.origin.x + (1 - mx) // 2 * vi.size.x
-    ay = vi.origin.y + (1 - my) // 2 * vi.size.y
+    return mx, my, vi.origin.x + (1 - mx) // 2 * vi.size.x, vi.origin.y + (1 - my) // 2 * vi.size.y
+
+
+def oracle(vi: VirtualInstance) -> list[tuple]:
+    mx, my, ax, ay = placed(vi)
     out = []
     for sub in vi.subelements:
         sx, sy = SIGNS[sub.transform.value]
@@ -43,8 +47,24 @@ def oracle(vi: VirtualInstance) -> list[tuple]:
     return out
 
 
+def pin_oracle(vi: VirtualInstance) -> list[tuple]:
+    mx, my, ax, ay = placed(vi)
+    out = []
+    for name, pin in sorted(vi.pins.items()):
+        r = pin.rect
+        xs = [ax + mx * c for c in (r.lo.x, r.hi.x)]
+        ys = [ay + my * c for c in (r.lo.y, r.hi.y)]
+        out.append((name, r.layer, r.purpose, min(xs), min(ys), max(xs), max(ys)))
+    return out
+
+
 def flat(vi: VirtualInstance) -> list[tuple]:
     return [(r.layer, r.purpose, r.lo.x, r.lo.y, r.hi.x, r.hi.y) for r in vi.flatten()]
+
+
+def pins(vi: VirtualInstance) -> list[tuple]:
+    return [(name, r.layer, r.purpose, r.lo.x, r.lo.y, r.hi.x, r.hi.y)
+            for name in sorted(vi.pins) for r in [vi.pin_abs(name)]]
 
 
 def masters(tech):
@@ -72,13 +92,16 @@ def techs(finfet, planar):
 
 
 def check_copies(vi: VirtualInstance, rng: random.Random):
-    """Copies made before and after the master's first flatten match the oracle."""
+    """Copies made before and after the master's first flatten and first
+    pin_abs match the oracle, at all four transforms."""
     before = [vi.at(Point(rng.randint(-900, 900), rng.randint(-900, 900)), t) for t in ALL]
     assert flat(vi) == oracle(vi)
+    assert pins(vi) == pin_oracle(vi)
     after = [vi.at(Point(rng.randint(-900, 900), rng.randint(-900, 900)), t) for t in ALL]
     for copy in before + after:
         assert flat(copy) == oracle(copy), (copy.master, copy.transform)
-        assert copy.local_geometry(copy.transform) is vi.local_geometry(copy.transform)
+        assert pins(copy) == pin_oracle(copy), (copy.master, copy.transform)
+        assert copy.local_rows(copy.transform) is vi.local_rows(copy.transform)
 
 
 def test_every_template_at_every_transform(techs):
@@ -123,7 +146,7 @@ def test_cache_takes_no_part_in_equality_hash_or_repr(finfet):
     h = hash(empty)
     for t in ALL:
         filled.at(Point(5, 5), t).flatten()
-    assert filled.local_geometry(Transform.MX) and not empty._local
+    assert filled.local_rows(Transform.MX) and not empty._local
     assert empty == filled and hash(filled) == h and repr(filled) == repr(empty)
     assert filled.at(Point(1, 2), Transform.MY) == empty.at(Point(1, 2), Transform.MY)
     assert filled.at(Point(1, 2), Transform.MY) != empty.at(Point(1, 2), Transform.MX)

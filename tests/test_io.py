@@ -7,10 +7,14 @@ from gridlay.design import Design, Wire
 from gridlay.errors import GdsOverflow, ParseError, ValidationError
 from gridlay.flow import run_flow
 from gridlay.gds import (
+    DB_UNIT_M,
     LAYER,
     STRNAME,
+    USER_UNIT,
     Boundary,
+    Library,
     Sref,
+    Structure,
     decode_real,
     design_to_library,
     encode_real,
@@ -26,7 +30,7 @@ from gridlay.layoutjson import (
     write_layout_json,
 )
 from gridlay.svg import write_svg
-from gridlay.template import generate
+from gridlay.template import SubElement, VirtualInstance, generate
 
 # frozen from the 8-byte-real definition: m/2^56 * 16^(e-64), verified by the
 # independent decoder below
@@ -209,6 +213,38 @@ def test_gds_overflow(finfet):
     d.rects.append(Rect("m1", Point(0, 0), Point(2 ** 31, 10)))
     with pytest.raises(GdsOverflow):
         write_gds(d)
+
+
+@pytest.mark.parametrize("v", [2 ** 31, -2 ** 31 - 1])
+@pytest.mark.parametrize("where", ["top", "master"])
+def test_gds_overflow_past_either_end_of_32_bits(finfet, v, where):
+    d = Design("big", finfet)
+    box = Rect("m1", Point(0, 0), Point(v, 10))
+    if where == "top":
+        d.rects.append(box)
+    else:  # a master's geometry; its SREF sits at the origin
+        sub = SubElement((box,), Point(0, 0))
+        d.instances.append(VirtualInstance("big", {}, Point(0, 0), Transform.R0, Point(10, 10),
+                                           (sub,), {}))
+    with pytest.raises(GdsOverflow, match=f"coordinate {v} exceeds"):
+        write_gds(d)
+
+
+def test_boundaries_of_any_point_count_round_trip():
+    tri = Boundary(1, 0, ((0, 0), (5, 0), (0, 0)))
+    seven = Boundary(63, 7, ((-2 ** 31, 0), (2 ** 31 - 1, 0), (2 ** 31 - 1, 9), (4, 9),
+                             (4, 3), (-2 ** 31, 3), (-2 ** 31, 0)))
+    lib = Library("pts", USER_UNIT, DB_UNIT_M, (Structure("s", (tri, seven)),))
+    data = write_library(lib)
+    assert read_library(data) == lib and write_library(read_library(data)) == data
+    for b in (tri, seven):  # each element record by record, packed independently
+        xy = [c for p in b.xy for c in p]
+        element = b"".join((
+            struct.pack(">HH", 4, 0x0800), struct.pack(">HHh", 6, 0x0D02, b.layer),
+            struct.pack(">HHh", 6, 0x0E02, b.datatype),
+            struct.pack(f">HH{len(xy)}i", 4 + 4 * len(xy), 0x1003, *xy), struct.pack(">HH", 4, 0x1100),
+        ))
+        assert element in data
 
 
 def test_records_even_and_big_endian(finfet):
@@ -408,6 +444,18 @@ def test_rebuild_rejects_a_color_on_a_layer_that_is_not_colorable(planar):
 def test_rebuild_errors_name_the_instance_of_bad_params(finfet):
     doc = read_layout_json(write_layout_json(run_flow("dac", {"bits": 1}, finfet)))
     doc.data["instances"][1]["params"]["nf"] = "one"
+    with pytest.raises(ValidationError, match=r"^instances\[1\]: 'nf' must be an integer"):
+        document_to_design(doc, finfet)
+
+
+def test_rebuild_tells_true_from_1_in_params(finfet):
+    """`true` equals 1 in Python but is no integer: the rebuild must not reuse
+    the master it generated for `{"nf": 1}`."""
+    mos = generate(finfet.template("mos"), {"nf": 1}, finfet)
+    d = Design("tf", finfet)
+    d.instances += [mos.at(Point(0, 0), Transform.R0), mos.at(Point(500, 0), Transform.R0)]
+    doc = read_layout_json(write_layout_json(d))
+    doc.data["instances"][1]["params"]["nf"] = True
     with pytest.raises(ValidationError, match=r"^instances\[1\]: 'nf' must be an integer"):
         document_to_design(doc, finfet)
 
