@@ -79,9 +79,6 @@ class Pin:
     net: str
     wire: Wire
 
-    def rect(self) -> Rect:
-        return Rect.of_row(self.wire.layer, *self.wire.box(), "pin")
-
 
 class Design:
     """Container for everything a generator produces."""
@@ -193,16 +190,15 @@ class Design:
     # -- views --------------------------------------------------------------
 
     def instance_bbox(self) -> tuple[Point, Point] | None:
-        boxes = [vi.bbox() for vi in self.instances]
-        if not boxes:
+        """Lower-left / upper-right corners of the instances' boxes (origin
+        to origin + size), or None without instances."""
+        if not self.instances:
             return None
-        lo = Point(min(b[0].x for b in boxes), min(b[0].y for b in boxes))
-        hi = Point(max(b[1].x for b in boxes), max(b[1].y for b in boxes))
-        return lo, hi
-
-    def via_rects(self, via: PlacedVia) -> list[Rect]:
-        """Cut shape plus the two landing pads of a placed via."""
-        return [r.translated(via.pos) for r in self.tech.vias[via.via].rects]
+        x0s, y0s, x1s, y1s = zip(*(
+            (o.x, o.y, o.x + s.x, o.y + s.y)
+            for vi in self.instances for o, s in [(vi.origin, vi.size)]
+        ))
+        return Point(min(x0s), min(y0s)), Point(max(x1s), max(y1s))
 
     def iter_rows(self) -> Iterator[tuple]:
         """Flattened geometry as flat rows (layer, x0, y0, x1, y1, purpose,

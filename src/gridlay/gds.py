@@ -7,6 +7,11 @@ output is canonical: elements are sorted, timestamps are fixed to zero, and
 numbers are big-endian with even-length records, so equal designs produce
 byte-identical streams. Arrays are expanded to plain SREFs; no AREF, PATH, or
 foreign-file features.
+
+`write_gds` packs a design's flat rows straight into BOUNDARY records.
+`read_library` parses a stream into the `Library` model, and `write_library`
+writes that model back with the same framing and SREF/TEXT records, so a
+stream from `write_gds` round-trips byte for byte.
 """
 
 from __future__ import annotations
@@ -163,53 +168,71 @@ def _boundary_struct(points: int) -> struct.Struct:
     return struct.Struct(f">HH HHh HHh HH{2 * points}i HH")
 
 
-def _pack_boundary(e: Boundary) -> bytes:
-    n = len(e.xy)
-    try:
-        return _boundary_struct(n).pack(
-            4, BOUNDARY, 6, LAYER, e.layer, 6, DATATYPE, e.datatype,
-            4 + 8 * n, XY, *itertools.chain.from_iterable(e.xy), 4, ENDEL,
-        )
-    except struct.error:
-        for c in itertools.chain.from_iterable(e.xy):
-            _coord(c)  # raises GdsOverflow for a coordinate past 32 bits
-        raise
+_XY_ENDEL = struct.Struct(">HHii HH")  # an XY record of one point, then ENDEL
 
 
-def write_library(lib: Library) -> bytes:
+def _sref(sname: str, pos: tuple[int, int], strans: int | None, angle: float | None) -> bytes:
+    """An SREF element; STRANS and ANGLE only when set."""
+    out = [_record(SREF), _record(SNAME, _ascii(sname))]
+    if strans is not None:
+        out.append(_record(STRANS, struct.pack(">H", strans)))
+    if angle is not None:
+        out.append(_record(ANGLE, encode_real(angle)))
+    out.append(_XY_ENDEL.pack(12, XY, _coord(pos[0]), _coord(pos[1]), 4, ENDEL))
+    return b"".join(out)
+
+
+def _text(layer: int, texttype: int, pos: tuple[int, int], string: str) -> bytes:
+    return b"".join((
+        _record(TEXT),
+        _record(LAYER, struct.pack(">h", layer)),
+        _record(TEXTTYPE, struct.pack(">h", texttype)),
+        _record(XY, struct.pack(">2i", _coord(pos[0]), _coord(pos[1]))),
+        _record(STRING, _ascii(string)),
+        _record(ENDEL),
+    ))
+
+
+def _stream(name: str, user_unit: float, db_unit_m: float, structures) -> bytes:
+    """A whole stream around packed elements: the library header, each
+    (structure name, element bytes) pair as one structure, then ENDLIB."""
     out = [
         _record(HEADER, struct.pack(">h", GDS_VERSION)),
         _record(BGNLIB, struct.pack(">12h", *([0] * 12))),
-        _record(LIBNAME, _ascii(lib.name)),
-        _record(UNITS, encode_real(lib.user_unit) + encode_real(lib.db_unit_m)),
+        _record(LIBNAME, _ascii(name)),
+        _record(UNITS, encode_real(user_unit) + encode_real(db_unit_m)),
     ]
-    for s in lib.structures:
+    for sname, elements in structures:
         out.append(_record(BGNSTR, struct.pack(">12h", *([0] * 12))))
-        out.append(_record(STRNAME, _ascii(s.name)))
-        for e in s.elements:
-            if isinstance(e, Boundary):
-                out.append(_pack_boundary(e))
-                continue
-            if isinstance(e, Sref):
-                out.append(_record(SREF))
-                out.append(_record(SNAME, _ascii(e.sname)))
-                if e.strans is not None:
-                    out.append(_record(STRANS, struct.pack(">H", e.strans)))
-                if e.angle is not None:
-                    out.append(_record(ANGLE, encode_real(e.angle)))
-                out.append(_record(XY, struct.pack(">2i", _coord(e.pos[0]), _coord(e.pos[1]))))
-            elif isinstance(e, Text):
-                out.append(_record(TEXT))
-                out.append(_record(LAYER, struct.pack(">h", e.layer)))
-                out.append(_record(TEXTTYPE, struct.pack(">h", e.texttype)))
-                out.append(_record(XY, struct.pack(">2i", _coord(e.pos[0]), _coord(e.pos[1]))))
-                out.append(_record(STRING, _ascii(e.string)))
-            else:
-                raise TypeError(f"unknown element {e!r}")
-            out.append(_record(ENDEL))
+        out.append(_record(STRNAME, _ascii(sname)))
+        out.extend(elements)
         out.append(_record(ENDSTR))
     out.append(_record(ENDLIB))
     return b"".join(out)
+
+
+def _element(e) -> bytes:
+    if isinstance(e, Boundary):
+        n = len(e.xy)
+        try:
+            return _boundary_struct(n).pack(
+                4, BOUNDARY, 6, LAYER, e.layer, 6, DATATYPE, e.datatype,
+                4 + 8 * n, XY, *itertools.chain.from_iterable(e.xy), 4, ENDEL,
+            )
+        except struct.error:
+            for c in itertools.chain.from_iterable(e.xy):
+                _coord(c)  # raises GdsOverflow for a coordinate past 32 bits
+            raise
+    if isinstance(e, Sref):
+        return _sref(e.sname, e.pos, e.strans, e.angle)
+    if isinstance(e, Text):
+        return _text(e.layer, e.texttype, e.pos, e.string)
+    raise TypeError(f"unknown element {e!r}")
+
+
+def write_library(lib: Library) -> bytes:
+    return _stream(lib.name, lib.user_unit, lib.db_unit_m,
+                   ((s.name, map(_element, s.elements)) for s in lib.structures))
 
 
 def read_library(data: bytes) -> Library:
@@ -309,9 +332,10 @@ def _parse_library(it) -> Library:
     return Library(name, user_unit, db_unit, tuple(structures))
 
 
-def _boundaries(d: Design, rows) -> list[Boundary]:
-    """One boundary per flat row, in (gds layer, datatype, x0, y0, x1, y1)
-    order, which is the order of (layer, datatype, xy) for their closed loops."""
+def _boundaries(d: Design, rows) -> list[bytes]:
+    """One packed BOUNDARY element per flat row, in (gds layer, datatype, x0,
+    y0, x1, y1) order, which is the order of (layer, datatype, xy) of their
+    closed loops (x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)."""
     codes: dict[tuple[str, str], tuple[int, int]] = {}  # (layer, purpose) -> gds layer, datatype
     keys = []
     for layer, x0, y0, x1, y1, purpose, _ in rows:
@@ -321,49 +345,53 @@ def _boundaries(d: Design, rows) -> list[Boundary]:
             code = codes[layer, purpose] = (rule.gds_layer, gds_datatype(rule, purpose))
         keys.append((*code, x0, y0, x1, y1))
     keys.sort()
-    return [
-        Boundary(gl, dt, ((x0, y0), (x1, y0), (x1, y1), (x0, y1), (x0, y0)))
-        for gl, dt, x0, y0, x1, y1 in keys
-    ]
+    pack = _boundary_struct(5).pack
+    try:
+        return [
+            pack(4, BOUNDARY, 6, LAYER, gl, 6, DATATYPE, dt, 44, XY,
+                 x0, y0, x1, y0, x1, y1, x0, y1, x0, y0, 4, ENDEL)
+            for gl, dt, x0, y0, x1, y1 in keys
+        ]
+    except struct.error:
+        for c in itertools.chain.from_iterable(key[2:] for key in keys):
+            _coord(c)  # raises GdsOverflow for a coordinate past 32 bits
+        raise
 
 
 def master_struct_name(master: str, params) -> str:
     return "__".join([master, *param_tokens(params)])
 
 
-def design_to_library(d: Design) -> Library:
-    """Build the hierarchical model: one struct per instance master, one top."""
+def write_gds(d: Design) -> bytes:
+    """The design as a stream: one structure per instance master, holding
+    its R0 geometry, in name order, then the design's own structure with its
+    shapes, one SREF per instance and one TEXT per pin label."""
     names = [master_struct_name(vi.master, vi.params) for vi in d.instances]
     masters: dict[str, object] = {}
     for sname, vi in zip(names, d.instances):
         masters.setdefault(sname, vi)
-    structures = []
-    for sname in sorted(masters):
-        elements = _boundaries(d, masters[sname].local_rows(Transform.R0))
-        structures.append(Structure(sname, tuple(elements)))
+    structures = [
+        (sname, _boundaries(d, masters[sname].local_rows(Transform.R0))) for sname in sorted(masters)
+    ]
 
-    top: list = _boundaries(d, d.own_rows())
-
+    top = _boundaries(d, d.own_rows())
+    # The struct holds local R0 geometry; the stream transform acts before
+    # translation, so the anchor shift keeps bboxes in place.
     srefs = []
     for sname, vi in zip(names, d.instances):
-        strans, angle = _TRANSFORM_GDS[vi.transform]
-        # The struct holds local R0 geometry; the stream transform acts
-        # before translation, so the anchor shift keeps bboxes in place.
         anchor = vi.anchor()
-        srefs.append(Sref(sname, (anchor.x, anchor.y), strans, angle))
-    top.extend(sorted(srefs, key=lambda s: (s.sname, s.pos)))
+        srefs.append((sname, anchor.x, anchor.y, vi.transform))
+    srefs.sort(key=lambda s: s[:3])
+    top += [_sref(sname, (x, y), *_TRANSFORM_GDS[t]) for sname, x, y, t in srefs]
 
     texts = []
     for pin in d.pins:
         layer = d.tech.layer(pin.wire.layer)
         x0, y0, x1, y1 = pin.wire.box()
-        center = ((x0 + x1) // 2, (y0 + y1) // 2)
-        texts.append(Text(layer.gds_layer, gds_datatype(layer, "pin"), center, pin.name))
-    top.extend(sorted(texts, key=lambda t: (t.string, t.pos)))
+        texts.append((pin.name, (x0 + x1) // 2, (y0 + y1) // 2, layer))
+    texts.sort(key=lambda t: t[:3])
+    top += [_text(layer.gds_layer, gds_datatype(layer, "pin"), (x, y), name)
+            for name, x, y, layer in texts]
 
-    structures.append(Structure(d.name, tuple(top)))
-    return Library(d.name, USER_UNIT, DB_UNIT_M, tuple(structures))
-
-
-def write_gds(d: Design) -> bytes:
-    return write_library(design_to_library(d))
+    structures.append((d.name, top))
+    return _stream(d.name, USER_UNIT, DB_UNIT_M, structures)

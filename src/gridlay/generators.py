@@ -118,27 +118,22 @@ class DacGenerator(Generator):
         cycle = len(spec.ytracks)
         ix_hi = g.xgrid.index_where("<=", width)
 
-        # Rails sit in the first full track cycle above the cell row.
+        # Rails sit in the first full track cycle above the cell row: the
+        # output rail on signal track 0, bit j's rail on signal track j + 1.
         base = cycle * -(-self.unit.size.y // g.ygrid.period)
-        self.rail_out = d.route(g, [(0, base + _signal_track(spec, 0)),
-                                    (ix_hi, base + _signal_track(spec, 0))])[0]
-        self.rail_bits = [
-            d.route(g, [(0, base + _signal_track(spec, j + 1)),
-                        (ix_hi, base + _signal_track(spec, j + 1))])[0]
-            for j in range(bits)
-        ]
-        self.rail_vss = d.route(g, [(0, base + _power_track(spec)),
-                                    (ix_hi, base + _power_track(spec))])[0]
-
+        rails = [base + _signal_track(spec, j) for j in range(bits + 1)]
         vss_idx = base + _power_track(spec)
+        self.rail_out = d.route(g, [(0, rails[0]), (ix_hi, rails[0])])[0]
+        self.rail_bits = [d.route(g, [(0, y), (ix_hi, y)])[0] for y in rails[1:]]
+        self.rail_vss = d.route(g, [(0, vss_idx), (ix_hi, vss_idx)])[0]
+
         for k, unit in enumerate(self.units):
             gp, sp = unit.pin_abs("g"), unit.pin_abs("s")
             gate_x = g.xgrid.index_where("==", (gp.lo.x + gp.hi.x) // 2)
             src_x = g.xgrid.index_where("==", (sp.lo.x + sp.hi.x) // 2)
-            if k == 0:
-                target = base + _signal_track(spec, 0)          # reference unit
-            else:
-                target = base + _signal_track(spec, k.bit_length())
+            # unit 0, the reference unit, goes to the output rail; unit k to
+            # the rail of bit k.bit_length() - 1
+            target = rails[k.bit_length()]
             d.route(g, [(gate_x, 0), (gate_x, target)])
             d.add_via(g, (gate_x, target))
             d.route(g, [(src_x, 0), (src_x, vss_idx)])

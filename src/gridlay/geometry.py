@@ -135,17 +135,3 @@ def apply_rect(t: Transform, r: Rect) -> Rect:
     """Transform both corners and re-normalize."""
     return replace(r, lo=apply(t, r.lo), hi=apply(t, r.hi))
 
-
-def bbox_of(rects) -> tuple[Point, Point] | None:
-    """Lower-left / upper-right corners of a rect collection, or None if empty."""
-    it = iter(rects)
-    first = next(it, None)
-    if first is None:
-        return None
-    lx, ly, hx, hy = first.lo.x, first.lo.y, first.hi.x, first.hi.y
-    for r in it:
-        lx = min(lx, r.lo.x)
-        ly = min(ly, r.lo.y)
-        hx = max(hx, r.hi.x)
-        hy = max(hy, r.hi.y)
-    return Point(lx, ly), Point(hx, hy)

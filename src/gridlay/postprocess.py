@@ -12,27 +12,8 @@ from __future__ import annotations
 
 from .design import Design, Wire
 from .errors import LayoutError, NoCutRule, NoDummyTemplate, NotColorable, NotOnGrid
-from .geometry import Point, Rect
+from .geometry import Rect
 from .template import VirtualInstance, generate
-
-
-def _wire_tracks(d: Design, layer: str) -> dict[tuple[str, int], list[Wire]]:
-    tracks: dict[tuple[str, int], list[Wire]] = {}
-    for w in d.wires:
-        if w.layer == layer:
-            tracks.setdefault((w.axis, w.track), []).append(w)
-    return tracks
-
-
-def _merged_spans(wires: list[Wire]) -> list[tuple[int, int]]:
-    """Union of wire extents; overlapping or abutting wires form one pattern."""
-    spans: list[tuple[int, int]] = []
-    for w in sorted(wires, key=lambda w: (w.lo, w.hi)):
-        if spans and w.lo <= spans[-1][1]:
-            spans[-1] = (spans[-1][0], max(spans[-1][1], w.hi))
-        else:
-            spans.append((w.lo, w.hi))
-    return spans
 
 
 def cut_pattern_gen(d: Design, layer: str) -> list[Rect]:
@@ -40,53 +21,59 @@ def cut_pattern_gen(d: Design, layer: str) -> list[Rect]:
 
     Scanning each track: any gap between neighboring patterns smaller than
     the spacing threshold receives exactly one cut centered in the gap
-    (midpoint rounded toward the lower coordinate). The outermost non-pin
-    wire of a track additionally receives a cut beyond each outer end,
-    applied along the wire's own axis; pin wires get none because their cuts
-    belong to the parent level. Overlapping or abutting wires are one merged
-    pattern and never get a cut between them. Rerunning the pass adds
-    nothing.
+    (midpoint rounded toward the lower coordinate). Each outer end of a track
+    additionally receives a cut beyond it, applied along the track's axis,
+    iff some non-pin wire reaches that end; pin wires alone get none because
+    their cuts belong to the parent level. Overlapping or abutting wires are
+    one merged pattern and never get a cut between them. The result does not
+    depend on the order of the wires. Rerunning the pass adds nothing.
     """
     rule = d.tech.cut_rule(layer)
     if rule is None:
         raise NoCutRule(f"layer {layer!r} has no cut rule")
+    cut_layer, threshold, margin = rule.cut_layer, rule.spacing_threshold, rule.end_margin
     cw, cl = rule.cut_width, rule.cut_length
 
     existing = {
-        (r.lo, r.hi)
+        (r.lo.x, r.lo.y, r.hi.x, r.hi.y)
         for r in d.rects
-        if r.layer == rule.cut_layer and r.purpose == "cut"
+        if r.layer == cut_layer and r.purpose == "cut"
     }
-
-    def cut_rect(axis: str, track: int, center: int) -> Rect:
-        a0 = center - cw // 2
-        c0 = track - cl // 2
-        if axis == "h":
-            return Rect(rule.cut_layer, Point(a0, c0), Point(a0 + cw, c0 + cl), "cut")
-        return Rect(rule.cut_layer, Point(c0, a0), Point(c0 + cl, a0 + cw), "cut")
+    tracks: dict[tuple[str, int], list[tuple[int, int, bool]]] = {}
+    for w in d.wires:
+        if w.layer == layer:
+            tracks.setdefault((w.axis, w.track), []).append((w.lo, w.hi, w.is_pin))
 
     out: list[Rect] = []
-
-    def emit(axis: str, track: int, center: int):
-        r = cut_rect(axis, track, center)
-        if (r.lo, r.hi) in existing:
-            return
-        existing.add((r.lo, r.hi))
-        d.rects.append(r)
-        out.append(r)
-
-    for (axis, track), wires in sorted(_wire_tracks(d, layer).items()):
-        spans = _merged_spans(wires)
-        for (_, hi_a), (lo_b, _) in zip(spans, spans[1:]):
-            gap = lo_b - hi_a
-            if 0 < gap < rule.spacing_threshold:
-                emit(axis, track, (hi_a + lo_b) // 2)
-        lowest = min(wires, key=lambda w: (w.lo, w.hi))
-        highest = max(wires, key=lambda w: (w.hi, w.lo))
-        if not lowest.is_pin:
-            emit(axis, track, lowest.lo - rule.end_margin)
-        if not highest.is_pin:
-            emit(axis, track, highest.hi + rule.end_margin)
+    for (axis, track), spans in sorted(tracks.items()):
+        spans.sort()
+        c0 = track - cl // 2
+        centers = []
+        # One sweep in (lo, hi) order: `end` is the high end of the merged
+        # pattern so far, and a gap opens where a span starts past it.
+        first, end, _ = spans[0]
+        low = high = False   # a non-pin wire reaches the low / high end
+        for lo, hi, is_pin in spans:
+            if 0 < lo - end < threshold:
+                centers.append((end + lo) // 2)
+            if hi > end:
+                end, high = hi, False
+            if not is_pin:
+                low = low or lo == first
+                high = high or hi == end
+        if low:
+            centers.append(first - margin)
+        if high:
+            centers.append(end + margin)
+        for center in centers:
+            a0 = center - cw // 2
+            # cut width and length are positive, so the box is normalized
+            box = (a0, c0, a0 + cw, c0 + cl) if axis == "h" else (c0, a0, c0 + cl, a0 + cw)
+            if box not in existing:
+                existing.add(box)
+                r = Rect.of_row(cut_layer, *box, "cut")
+                d.rects.append(r)
+                out.append(r)
     return out
 
 
@@ -149,9 +136,9 @@ def fill_dummies(d: Design, region: Rect) -> list[VirtualInstance]:
     lies inside the region; it is occupied when any instance bbox overlaps it
     with positive area. Dummies come row by row, left to right.
 
-    Each row is swept on x: the instance boxes across the row are taken in
-    lo.x order, and a site is occupied when a box starting left of its right
-    edge reaches past its left edge.
+    Each row is swept on x: the instance boxes (origin to origin + size)
+    across the row are taken in lo.x order, and a site is occupied when a
+    box starting left of its right edge reaches past its left edge.
     """
     tpl = d.tech.templates.get("dummy")
     if tpl is None:
@@ -159,14 +146,16 @@ def fill_dummies(d: Design, region: Rect) -> list[VirtualInstance]:
     if d.pgrid is None:
         raise LayoutError("design has no placement grid to fill on")
     dummy = generate(tpl, {}, d.tech)
-    boxes = sorted((vi.bbox() for vi in d.instances), key=lambda b: b[0].x)
+    boxes = sorted(
+        (o.x, o.y, o.x + s.x, o.y + s.y) for vi in d.instances for o, s in [(vi.origin, vi.size)]
+    )
 
     gx, gy = d.pgrid.xgrid, d.pgrid.ygrid
     added: list[VirtualInstance] = []
     j = gy.index_where(">=", region.lo.y)
     while gy.phys(j) < region.hi.y:
         y0, y1 = gy.phys(j), gy.phys(j + 1)
-        row = [(lo.x, hi.x) for lo, hi in boxes if lo.y < y1 and y0 < hi.y]
+        row = [(bx0, bx1) for bx0, by0, bx1, by1 in boxes if by0 < y1 and y0 < by1]
         k = 0
         i = gx.index_where(">=", region.lo.x)
         x0 = reach = gx.phys(i)  # reach: largest hi.x of the boxes passed

@@ -191,11 +191,11 @@ class VirtualInstance:
     bounding box is the box of the declared size anchored at the origin for
     all four orientations.
 
-    Every copy made by `at()` shares one cache, `_local`, of the master's
-    flat rows and pin rects relative to the anchor, filled once per
-    transform (keys: the transform, and (pin name, transform)), so placing a
-    master many times transforms its sub-element rects only once and each
-    placed row is an addition of the anchor.
+    Every copy made by `at()` shares one cache, `_local`, filled once per
+    transform: the master's flat rows relative to the anchor (key: the
+    transform) and each pin box relative to the origin (key: (pin name,
+    transform)), so placing a master many times transforms its sub-element
+    rects only once and each placed row or pin is an addition of integers.
     """
 
     master: str
@@ -284,8 +284,13 @@ class VirtualInstance:
             pin = self.pins.get(name)
             if pin is None:
                 raise UnknownPin(f"{self.master} has no pin {name!r}")
-            local = self._local[key] = apply_rect(self.transform, pin.rect)
-        return local.translated(self.anchor())
+            # the transformed pin box, shifted by the anchor's offset from the origin
+            r, a = apply_rect(self.transform, pin.rect), self.anchor() - self.origin
+            local = self._local[key] = (r.layer, r.lo.x + a.x, r.lo.y + a.y,
+                                        r.hi.x + a.x, r.hi.y + a.y, r.purpose)
+        layer, x0, y0, x1, y1, purpose = local
+        ox, oy = self.origin.x, self.origin.y
+        return Rect.of_row(layer, x0 + ox, y0 + oy, x1 + ox, y1 + oy, purpose)
 
 
 def generate(tpl, params: Mapping[str, Any], tech: "TechDB") -> VirtualInstance:

@@ -175,7 +175,9 @@ def test_add_pin_flips_wire(finfet, sig_grid):
     (w,) = d.route(sig_grid, [(0, 0), (3, 0)])
     assert not w.is_pin
     pin = d.add_pin("a", "neta", w)
-    assert w.is_pin and pin.rect().purpose == "pin"
+    assert w.is_pin and pin.wire is w
+    # the pin is exported as a pin-purpose overlay of its wire's box
+    assert [r for r in d.own_rows() if r[6] == "pin"] == [(w.layer, *w.box(), "pin", "pin")]
 
 
 def test_duplicate_pin_name_same_net_ok(finfet, sig_grid):

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from gridlay.design import Design
 from gridlay.geometry import (
     Point,
     Rect,
     Transform,
     apply,
     apply_rect,
-    bbox_of,
     compose,
 )
 from gridlay.template import PinDef, VirtualInstance
@@ -147,12 +147,12 @@ def test_rect_intersection_and_overlap():
     assert a.intersection(d) is None
 
 
-def test_point_arithmetic_and_bbox():
+def test_point_arithmetic_and_bbox(finfet):
     assert Point(1, 2) + Point(3, 4) == Point(4, 6)
     assert Point(1, 2) - Point(3, 4) == Point(-2, -2)
-    box = bbox_of([
-        Rect("m1", Point(0, 0), Point(2, 2)),
-        Rect("m1", Point(-5, 1), Point(1, 7)),
-    ])
-    assert box == (Point(-5, 0), Point(2, 7))
-    assert bbox_of([]) is None
+    # the instance bbox spans every instance's origin to origin + size
+    d = Design("t", finfet)
+    assert d.instance_bbox() is None
+    for origin, size, t in [((0, 0), (2, 1), Transform.MX), ((-5, 1), (5, 6), Transform.R180)]:
+        d.instances.append(VirtualInstance("b", {}, Point(*origin), t, Point(*size), (), {}))
+    assert d.instance_bbox() == (Point(-5, 0), Point(2, 7))

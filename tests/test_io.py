@@ -16,7 +16,6 @@ from gridlay.gds import (
     Sref,
     Structure,
     decode_real,
-    design_to_library,
     encode_real,
     read_library,
     write_gds,
@@ -31,6 +30,8 @@ from gridlay.layoutjson import (
 )
 from gridlay.svg import write_svg
 from gridlay.template import SubElement, VirtualInstance, generate
+
+from test_golden import DESIGNS, FLAGS, TECHS
 
 # frozen from the 8-byte-real definition: m/2^56 * 16^(e-64), verified by the
 # independent decoder below
@@ -152,6 +153,17 @@ def test_gds_round_trip_byte_identical(finfet, planar):
             again = write_library(read_library(first))
             assert first == again
 
+
+@pytest.mark.parametrize("tech_name", TECHS)
+@pytest.mark.parametrize("design", DESIGNS)
+@pytest.mark.parametrize("flags", FLAGS)
+def test_gds_writers_agree_on_the_golden_corpus(finfet, planar, tech_name, design, flags):
+    """write_gds packs the design's rows itself; write_library, given the
+    stream read back, must write the same bytes."""
+    gen, params = DESIGNS[design]
+    tech = {"mock_finfet": finfet, "mock_planar": planar}[tech_name]
+    data = write_gds(run_flow(gen, params, tech, FLAGS[flags]))
+    assert write_library(read_library(data)) == data
 
 
 def record_ends(data: bytes) -> list[int]:

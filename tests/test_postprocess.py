@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridlay.design import Design, Wire, check_spacing
@@ -151,6 +152,44 @@ def test_cut_soundness_randomized(finfet):
         d = wire_design(finfet, spans)
         cut_pattern_gen(d, "m1")
         assert check_spacing(d, "m1") == [], spans
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    spans=st.lists(st.tuples(st.integers(-200, 200), st.integers(1, 150), st.booleans()), max_size=2),
+    low=st.integers(1, 150),
+    high=st.integers(1, 150),
+    ties=st.tuples(st.booleans(), st.booleans()),
+    axis=st.sampled_from("hv"),
+)
+@example(spans=[], low=500, high=500, ties=(True, True), axis="h")  # a pin and a non-pin wire, one span
+@example(spans=[(10, 10, False)], low=100, high=150, ties=(False, False), axis="h")  # pins at both ends
+def test_cuts_do_not_depend_on_wire_order(finfet, spans, low, high, ties, axis):
+    """A pin wire reaches each outer end of the track, tied at either end
+    with a non-pin wire of the same extent where `ties` says. Every order of
+    the wires gives the same cuts, and an end gets its cut iff some non-pin
+    wire reaches it."""
+    wires = [(lo, lo + n, is_pin) for lo, n, is_pin in spans]
+    first = min([0] + [lo for lo, _, _ in wires])
+    last = max([first + low, first + high] + [hi for _, hi, _ in wires])
+    wires += [(first, first + low, p) for p in (True, False)[:1 + ties[0]]]
+    wires += [(last - high, last, p) for p in (True, False)[:1 + ties[1]]]
+    reached = (any(lo == first and not p for lo, _, p in wires),
+               any(hi == last and not p for _, hi, p in wires))
+    rule = finfet.cut_rule("m1")
+    c0 = 100 - rule.cut_length // 2
+    ends = [(a - rule.cut_width // 2, c0) for a in (first - rule.end_margin, last + rule.end_margin)]
+    if axis == "v":
+        ends = [(c, a) for a, c in ends]
+    seen = set()
+    for order in itertools.permutations(wires):
+        d = Design("t", finfet)
+        for lo, hi, is_pin in order:
+            d.add_wire(Wire(layer="m1", axis=axis, track=100, lo=lo, hi=hi, width=20, is_pin=is_pin))
+        seen.add(frozenset((r.lo.x, r.lo.y) for r in cut_pattern_gen(d, "m1")))
+        assert len(seen) == 1, order
+    cuts = seen.pop()
+    assert [end in cuts for end in ends] == list(reached)
 
 
 # -- min-area extension ----------------------------------------------------------

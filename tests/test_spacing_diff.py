@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gridlay.design import Design, check_all, check_spacing
 from gridlay.flow import run_flow
-from gridlay.geometry import Point, Rect, bbox_of
+from gridlay.geometry import Point, Rect
 
 from spacing_oracle import oracle_check_all, oracle_check_spacing
 
@@ -126,7 +126,7 @@ def inject_defects(d: Design, rng: random.Random, k: int) -> None:
     """Add k raw rects at a sub-spacing gap (in x, in y or diagonal) from
     existing m1/m2 shapes, and one isolated too-close pair above the design."""
     targets = [r for r, _ in d.iter_flat() if r.layer in LAYERS and r.purpose != "pin"]
-    top = bbox_of(r for r, _ in d.iter_flat())[1].y + 1000
+    top = max(row[4] for row in d.iter_rows()) + 1000
     s = d.tech.min_spacing("m1")
     d.rects.append(Rect("m1", Point(0, top), Point(s, top + s)))
     d.rects.append(Rect("m1", Point(2 * s - 1, top), Point(3 * s, top + s)))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gridlay.errors import BadParams, UnknownPin
-from gridlay.geometry import Point, Rect, Transform, apply_rect, bbox_of
+from gridlay.geometry import Point, Rect, Transform, apply_rect
 from gridlay.template import (
     PinDef,
     SubElement,
@@ -177,6 +177,12 @@ def rand_vi(rng):
 
 def rect_key(r):
     return (r.layer, r.lo.x, r.lo.y, r.hi.x, r.hi.y)
+
+
+def bbox_of(rects):
+    """Lower-left / upper-right corners of a non-empty rect list."""
+    return (Point(min(r.lo.x for r in rects), min(r.lo.y for r in rects)),
+            Point(max(r.hi.x for r in rects), max(r.hi.y for r in rects)))
 
 
 def test_transformed_flatten_equals_transformed_r0_flatten():

@@ -4,8 +4,8 @@ techs and of a synthetic tech with odd cut sizes and a missing enclosure.
 The pad on layer L is `cut_size + 2 * enclosure[L]` (0 without an entry) in
 both axes, and cut and pads sit at `center - cut_size // 2` grown by the
 enclosure. The oracle below works from the raw fields and checks the three
-places that use the pads: `via_rects`, the via end of a routed wire, and the
-track pitch of a generated grid.
+places that use the pads: the rows a placed via adds to a design, the via end
+of a routed wire, and the track pitch of a generated grid.
 """
 
 import json
@@ -53,19 +53,17 @@ def oracle_box(via, layer, center):
     return x0, y0, x0 + cw + 2 * e, y0 + ch + 2 * e
 
 
-def box(r):
-    return r.lo.x, r.lo.y, r.hi.x, r.hi.y
-
-
 @pytest.mark.parametrize("center", [(0, 0), (101, -37), (-5, 8)])
 def test_via_rects_match_the_rule(tech, center):
-    d = Design("t", tech)
     for via in tech.vias.values():
-        rects = d.via_rects(PlacedVia(via.name, Point(*center)))
-        assert [(r.layer, r.purpose) for r in rects] == [
-            (via.cut_layer, "drawing"), (via.lower, "drawing"), (via.upper, "drawing")
+        d = Design("t", tech)
+        d.vias.append(PlacedVia(via.name, Point(*center)))
+        rows = list(d.own_rows())
+        assert [(r[0], r[5], r[6]) for r in rows] == [
+            (via.cut_layer, "drawing", "via"), (via.lower, "drawing", "via"),
+            (via.upper, "drawing", "via"),
         ]
-        assert [box(r) for r in rects] == [
+        assert [r[1:5] for r in rows] == [
             oracle_box(via, None, center),
             oracle_box(via, via.lower, center),
             oracle_box(via, via.upper, center),
