@@ -1,7 +1,7 @@
 """Exception types raised by the layout engine, and the field readers the
 tech and layout-JSON loaders check their input with."""
 
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 
 class LayoutError(Exception):
@@ -99,6 +99,33 @@ def read_fields(obj, fields, where: str, k: int | None = None) -> list:
             read(obj, key, kind, where, k)  # raises, naming the field
         values.append(value)
     return values
+
+
+def read_columns(entries: list, fields) -> Iterator[tuple] | None:
+    """The values of the required (key, kind) `fields` of each object in
+    `entries`, checked one field over the whole list at a time; None when some
+    entry is no object, lacks a field or holds a value not of its kind.
+    """
+    try:
+        columns = [[e[key] for e in entries] for key, _ in fields]
+    except (KeyError, TypeError):  # some entry lacks the field, or is no object
+        return None
+    for (_, kind), column in zip(fields, columns):
+        if not all(map(kind.test, column)):
+            return None
+    return zip(*columns)
+
+
+def read_section(entries: list, fields, where: str) -> Iterator:
+    """The values of `fields` of each entry of the list named `where`, as
+    `read_fields` reads them. The list is checked column by column, and its
+    entries are read one by one only when a column fails, so the error names
+    the first entry at fault in list order and its first bad field.
+    """
+    rows = read_columns(entries, fields)
+    if rows is None:
+        return (read_fields(e, fields, where, k) for k, e in enumerate(entries))
+    return rows
 
 
 class UnknownLayer(LayoutError):

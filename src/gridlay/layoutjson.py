@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from .design import Design, Pin, PlacedVia, Wire
 from .errors import (
@@ -32,7 +33,9 @@ from .errors import (
     one_of,
     or_null,
     read,
+    read_columns,
     read_fields,
+    read_section,
 )
 from .gds import gds_datatype
 from .geometry import PURPOSES, Point, Rect, Transform
@@ -41,6 +44,7 @@ from .tech import TechDB
 from .template import VirtualInstance, generate
 
 SCHEMA_VERSION = 1
+_TRANSFORMS = {t.value: t for t in Transform}
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,9 @@ class LayoutDocument:
         The writer knows the schema: it emits the schema's fields in schema
         order, one template per section entry, so the unknown keys of a read
         document are not re-emitted. Only `pgrid` and each instance's `params`
-        are encoded generically, the params once per dict object.
+        are encoded generically, the params once per dict object. A rect is
+        written as the text of its (layer, datatype, purpose, src), made once
+        per distinct tuple, followed by its four bbox integers.
         """
         data = self.data
         q = _Quoted({None: "null"})
@@ -84,11 +90,12 @@ class LayoutDocument:
         ]
         vias = [_VIA % (q[v["via"]], v["pos"][0], v["pos"][1]) for v in data["vias"]]
         pins = [_PIN % (q[p["name"]], q[p["net"]], p["wire"]) for p in data["pins"]]
+        heads = _RectHeads(q)
         rects = []
         for r in data["rects"]:
             b = r["bbox"]
-            rects.append(_RECT % (q[r["layer"]], r["datatype"], q[r["purpose"]], q[r["src"]],
-                                  b[0], b[1], b[2], b[3]))
+            head = heads[r["layer"], r["datatype"], r["purpose"], r["src"]]
+            rects.append(head % (b[0], b[1], b[2], b[3]))
         return "\n  ".join((
             "{",
             '"schema_version": %d,' % data["schema_version"],
@@ -109,6 +116,22 @@ class _Quoted(dict):
 
     def __missing__(self, s: str) -> str:
         text = self[s] = encode_basestring_ascii(s)
+        return text
+
+
+class _RectHeads(dict):
+    """`_RECT` with the head fields filled in, once per distinct (layer,
+    datatype, purpose, src): a template of the four bbox integers only."""
+
+    def __init__(self, quoted: _Quoted):
+        super().__init__()
+        self.q = quoted
+
+    def __missing__(self, key: tuple) -> str:
+        layer, datatype, purpose, src = key
+        q = self.q
+        head = _RECT_HEAD % (q[layer], datatype, q[purpose], q[src])
+        text = self[key] = head.replace("%", "%%") + _RECT_BBOX
         return text
 
 
@@ -173,6 +196,8 @@ _RECT = """\
         %d
       ]
     }"""
+_BBOX_AT = _RECT.index('"bbox"')
+_RECT_HEAD, _RECT_BBOX = _RECT[:_BBOX_AT], _RECT[_BBOX_AT:]
 
 
 def design_to_document(d: Design) -> LayoutDocument:
@@ -292,12 +317,36 @@ def _pgrid_axis(pgrid: dict, key: str) -> OneDimGrid:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
+def _raw_rect_fields(rects: list, fields) -> Iterator:
+    """The values of `fields` of each raw rect. Only `src` is read of a
+    derived rect: any value but "raw". Checked column by column, and rect by
+    rect only when a column fails, as `read_section` reads a section."""
+    try:
+        rows = read_columns([e for e in rects if e["src"] == "raw"], fields)
+    except (KeyError, TypeError):  # some rect lacks `src`, or is no object
+        rows = None
+    return _read_raw_rects(rects, fields) if rows is None else rows
+
+
+def _read_raw_rects(rects: list, fields) -> Iterator[list]:
+    for k, e in enumerate(rects):
+        try:
+            if e["src"] != "raw":
+                continue
+        except (KeyError, TypeError):
+            read(e, "src", STR, "rects", k)  # raises: no `src`, or the entry is no object
+        yield read_fields(e, fields, "rects", k)
+
+
 def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     """Rebuild a working design from a document.
 
     Instances are regenerated from their master templates, once per distinct
     master and parameters, so the document's tech must match the one it was
-    exported with.
+    exported with. Each section is checked one field at a time over all its
+    entries, and entry by entry only when such a check fails, so an error
+    names the first entry at fault in document order. A raw rect's bbox
+    corners may come in either order; the rebuilt rect is normalized.
     """
     if tech.name != doc.tech_name:
         raise ValidationError(
@@ -312,9 +361,8 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
     # tells `true` from `1` where the values themselves compare equal.
     masters: dict[tuple, VirtualInstance] = {}
     fields = (("master", key_of(tech.templates, f"a template of {tech.name}")), ("params", OBJECT),
-              ("origin", PAIR), ("transform", one_of(*(t.value for t in Transform))))
-    for k, e in enumerate(data["instances"]):
-        name, params, o, t = read_fields(e, fields, "instances", k)
+              ("origin", PAIR), ("transform", one_of(*_TRANSFORMS)))
+    for k, (name, params, o, t) in enumerate(read_section(data["instances"], fields, "instances")):
         key = (name, *sorted((p, repr(v)) for p, v in params.items()))
         vi = masters.get(key)
         if vi is None:
@@ -323,30 +371,28 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
             # A builder also fails on templates that do not fit together.
             except (BadParams, KeyError, TypeError, AttributeError, IndexError, ValueError) as exc:
                 raise ValidationError(f"instances[{k}]: {exc}") from exc
-        d.instances.append(vi.at(Point(o[0], o[1]), Transform(t)))
+        d.instances.append(vi.at(Point(o[0], o[1]), _TRANSFORMS[t]))
 
     fields = (("layer", layer), ("axis", one_of("h", "v")), ("track", INT), ("lo", INT),
               ("hi", INT), ("width", POS_INT), ("is_pin", BOOL), ("net", or_null(STR)),
               ("color", one_of("A", "B", None)))
     colorable = {name for name, rule in tech.layers.items() if rule.colorable}
-    for k, e in enumerate(data["wires"]):
-        w = Wire(*read_fields(e, fields, "wires", k))
+    for k, row in enumerate(read_section(data["wires"], fields, "wires")):
+        w = Wire(*row)
         if w.color is not None and w.layer not in colorable:
             raise ValidationError(f"wires[{k}].color: must be null on layer {w.layer!r}, "
                                   f"which is not colorable, got {w.color!r}")
         d.wires.append(w)
 
     fields = (("via", key_of(tech.vias, f"a via of {tech.name}")), ("pos", PAIR))
-    for k, e in enumerate(data["vias"]):
-        name, p = read_fields(e, fields, "vias", k)
-        d.vias.append(PlacedVia(name, Point(p[0], p[1])))
+    d.vias = [PlacedVia(name, Point(p[0], p[1]))
+              for name, p in read_section(data["vias"], fields, "vias")]
 
     wire = Kind(lambda v: type(v) is int and 0 <= v < len(d.wires),
                 f"an index into the {len(d.wires)} wires")
     fields = (("name", STR), ("net", STR), ("wire", wire))
     bound: dict[str, str] = {}  # pin name -> net, as Design.add_pin binds them
-    for k, e in enumerate(data["pins"]):
-        name, net, w = read_fields(e, fields, "pins", k)
+    for k, (name, net, w) in enumerate(read_section(data["pins"], fields, "pins")):
         if bound.setdefault(name, net) != net:
             raise ValidationError(f"pins[{k}].name: pin {name!r} already bound to net "
                                   f"{bound[name]!r}, got net {net!r}")
@@ -356,15 +402,11 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
                                   f"wires[{w}] (is_pin {wire.is_pin}, net {wire.net!r})")
         d.pins.append(Pin(name, net, wire))
 
+    # The purpose is checked, and the corners ordered here, so the rects skip
+    # Rect.__post_init__.
     fields = (("layer", layer), ("bbox", QUAD), ("purpose", one_of(*PURPOSES)))
-    for k, e in enumerate(data["rects"]):
-        try:  # only `src` is read of a derived rect: any value but "raw"
-            if e["src"] != "raw":
-                continue
-        except (KeyError, TypeError):
-            read(e, "src", STR, "rects", k)  # raises: no `src`, or the entry is no object
-        name, b, purpose = read_fields(e, fields, "rects", k)
-        d.rects.append(Rect(name, Point(b[0], b[1]), Point(b[2], b[3]), purpose))
+    d.rects = [Rect.of_row(name, min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1), purpose)
+               for name, (x0, y0, x1, y1), purpose in _raw_rect_fields(data["rects"], fields)]
 
     pgrid = read(data, "pgrid", or_null(OBJECT), "layout document", default=None)
     if pgrid is not None:

@@ -145,7 +145,7 @@ def fill_dummies(d: Design, region: Rect) -> list[VirtualInstance]:
         raise NoDummyTemplate(f"tech {d.tech.name} ships no 'dummy' template")
     if d.pgrid is None:
         raise LayoutError("design has no placement grid to fill on")
-    dummy = generate(tpl, {}, d.tech)
+    dummy = None  # generated at the first free site: a packed region needs none
     boxes = sorted(
         (o.x, o.y, o.x + s.x, o.y + s.y) for vi in d.instances for o, s in [(vi.origin, vi.size)]
     )
@@ -165,6 +165,8 @@ def fill_dummies(d: Design, region: Rect) -> list[VirtualInstance]:
                 reach = max(reach, row[k][1])
                 k += 1
             if reach <= x0:
+                if dummy is None:
+                    dummy = generate(tpl, {}, d.tech)
                 added.append(d.place(dummy, d.pgrid, (i, j)))
             i, x0 = i + 1, x1
         j += 1

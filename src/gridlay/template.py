@@ -222,16 +222,15 @@ class VirtualInstance:
         copy.__dict__.update(self.__dict__, origin=origin, transform=transform)
         return copy
 
-    def bbox(self) -> tuple[Point, Point]:
-        """Absolute bounding box; identical for all four orientations."""
-        return self.origin, self.origin + self.size
-
     def anchor(self) -> Point:
         """Where the local origin lands: the origin, plus the size on each
         axis the transform flips (origin + 0.5*(I - M) * size)."""
+        return Point(*self._anchor_xy())
+
+    def _anchor_xy(self) -> tuple[int, int]:
         sx, sy = _SIGNS[self.transform]
         o, s = self.origin, self.size
-        return Point(o.x + s.x if sx < 0 else o.x, o.y + s.y if sy < 0 else o.y)
+        return o.x + s.x if sx < 0 else o.x, o.y + s.y if sy < 0 else o.y
 
     def place_subelement(self, k: int) -> tuple[Point, Transform]:
         """Absolute origin and effective orientation of sub-element k.
@@ -265,8 +264,7 @@ class VirtualInstance:
 
     def rows(self) -> list[tuple]:
         """All sub-element geometry as absolute flat rows."""
-        a = self.anchor()
-        ax, ay = a.x, a.y
+        ax, ay = self._anchor_xy()
         return [
             (layer, x0 + ax, y0 + ay, x1 + ax, y1 + ay, purpose, src)
             for layer, x0, y0, x1, y1, purpose, src in self.local_rows(self.transform)

@@ -68,7 +68,8 @@ def test_half_i_minus_matrices():
             assert placed.anchor() == anchor
             lo, hi = (anchor + mat_apply(m, q) for q in (pin.lo, pin.hi))
             assert placed.pin_abs("p") == Rect("m1", lo, hi, "pin")
-            assert placed.bbox() == (origin, origin + size)
+            # the declared box spans origin to origin + size in every orientation
+            assert (placed.origin, placed.origin + placed.size) == (origin, origin + size)
 
 
 def test_matrix_properties():

@@ -472,6 +472,23 @@ def test_rebuild_tells_true_from_1_in_params(finfet):
         document_to_design(doc, finfet)
 
 
+def test_raw_rect_corners_come_in_either_order(finfet):
+    # A raw rect's bbox is normalized on rebuild: one with its corners swapped
+    # on x, y or both rebuilds and writes back like the ordered one.
+    data = write_layout_json(run_flow("dac", {"bits": 2}, finfet))
+    swapped = read_layout_json(data)
+    raw = [e for e in swapped.data["rects"] if e["src"] == "raw"]
+    assert len(raw) >= 3
+    for k, e in enumerate(raw):
+        x0, y0, x1, y1 = e["bbox"]
+        assert x0 < x1 and y0 < y1
+        e["bbox"] = [[x1, y0, x0, y1], [x0, y1, x1, y0], [x1, y1, x0, y0]][k % 3]
+    want = document_to_design(read_layout_json(data), finfet)
+    got = document_to_design(swapped, finfet)
+    assert list(got.iter_rows()) == list(want.iter_rows())
+    assert write_layout_json(got) == write_layout_json(want) == data
+
+
 def test_document_tech_mismatch(finfet, planar):
     d = run_flow("dac", {"bits": 1}, finfet)
     doc = read_layout_json(write_layout_json(d))

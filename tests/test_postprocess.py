@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridlay import postprocess
 from gridlay.design import Design, Wire, check_spacing
 from gridlay.errors import (
     LayoutError,
@@ -12,6 +13,7 @@ from gridlay.errors import (
     NoDummyTemplate,
     NotColorable,
 )
+from gridlay.flow import FlowFlags, run_flow
 from gridlay.geometry import Point, Rect, Transform
 from gridlay.grid import OneDimGrid, PlacementGrid, generate_routing_grid
 from gridlay.postprocess import (
@@ -338,6 +340,22 @@ def test_fill_partial_region(finfet):
     assert len(added) == 4
 
 
+def test_fill_generates_the_dummy_only_for_a_free_site(finfet, monkeypatch):
+    calls = []
+
+    def counting(tpl, params, tech):
+        calls.append(tpl.name)
+        return generate(tpl, params, tech)
+
+    monkeypatch.setattr(postprocess, "generate", counting)
+    d = run_flow("dac", {"bits": 2}, finfet, FlowFlags(dummies=False))
+    lo, hi = d.instance_bbox()
+    assert fill_dummies(d, Rect("", lo, hi)) == [] and calls == []   # DAC packs its row
+    grow = d.pgrid.ygrid.period
+    added = fill_dummies(d, Rect("", Point(lo.x, lo.y - grow), hi))
+    assert added and calls == ["dummy"]   # one generation, however many dummies
+
+
 def brute_force_free_sites(boxes, pgrid, region):
     """Every site in row-major order whose cell no box overlaps with positive area."""
     gx, gy = pgrid.xgrid, pgrid.ygrid
@@ -376,7 +394,8 @@ def test_fill_matches_brute_force_occupancy(finfet, xgrid, ygrid, blocks, region
         d.instances.append(VirtualInstance("blk", {}, Point(x, y), Transform.R0, Point(w, h), (), {}))
     x, y, w, h = region
     area = Rect("", Point(x, y), Point(x + w, y + h))
-    want = brute_force_free_sites([vi.bbox() for vi in d.instances], d.pgrid, area)
+    want = brute_force_free_sites([(vi.origin, vi.origin + vi.size) for vi in d.instances],
+                                  d.pgrid, area)
     added = fill_dummies(d, area)
     assert [vi.origin for vi in added] == want
     assert d.instances[len(blocks):] == added

@@ -211,7 +211,7 @@ def test_flatten_inside_declared_bbox():
         origin = Point(rng.randint(-300, 300), rng.randint(-300, 300))
         for t in ALL:
             placed = base.at(origin, t)
-            lo, hi = placed.bbox()
+            lo, hi = placed.origin, placed.origin + placed.size
             assert lo == origin and hi == origin + base.size
             box = bbox_of(placed.flatten())
             assert box[0].x >= lo.x and box[0].y >= lo.y
