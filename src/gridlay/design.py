@@ -222,11 +222,6 @@ class Design:
         for r in self.rects:
             yield r.layer, r.lo.x, r.lo.y, r.hi.x, r.hi.y, r.purpose, "raw"
 
-    def iter_flat(self) -> Iterator[tuple[Rect, str]]:
-        """`iter_rows` as (Rect, src) pairs."""
-        for row in self.iter_rows():
-            yield Rect.of_row(*row[:6]), row[6]
-
 
 # -- DRC-lite spacing check ---------------------------------------------------
 

@@ -379,8 +379,7 @@ def write_gds(d: Design) -> bytes:
     # translation, so the anchor shift keeps bboxes in place.
     srefs = []
     for sname, vi in zip(names, d.instances):
-        anchor = vi.anchor()
-        srefs.append((sname, anchor.x, anchor.y, vi.transform))
+        srefs.append((sname, *vi.anchor(), vi.transform))
     srefs.sort(key=lambda s: s[:3])
     top += [_sref(sname, (x, y), *_TRANSFORM_GDS[t]) for sname, x, y, t in srefs]
 

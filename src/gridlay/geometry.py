@@ -121,15 +121,6 @@ class Rect:
             return None
         return Rect(self.layer, lo, hi, self.purpose)
 
-    def overlaps(self, other: "Rect") -> bool:
-        """True for positive-area overlap (abutment does not count)."""
-        return (
-            self.lo.x < other.hi.x
-            and other.lo.x < self.hi.x
-            and self.lo.y < other.hi.y
-            and other.lo.y < self.hi.y
-        )
-
 
 def apply_rect(t: Transform, r: Rect) -> Rect:
     """Transform both corners and re-normalize."""

@@ -281,7 +281,7 @@ def _landing_pitch(tech: "TechDB", layer: str, horizontal: bool) -> int:
         if layer not in (via.lower, via.upper):
             continue
         pad = via.pad(layer)
-        best = max(best, (pad.height if horizontal else pad.width) + tech.min_spacing(layer))
+        best = max(best, (pad.height if horizontal else pad.width) + tech.layer(layer).min_spacing)
     return best
 
 

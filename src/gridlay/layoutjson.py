@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterator
 
 from .design import Design, Pin, PlacedVia, Wire
@@ -218,17 +219,11 @@ def design_to_document(d: Design) -> LayoutDocument:
         for master, _, origin, t, params in order
     ]
 
-    wire_order = sorted(
-        range(len(d.wires)),
-        key=lambda i: (
-            d.wires[i].layer, d.wires[i].axis, d.wires[i].track,
-            d.wires[i].lo, d.wires[i].hi, d.wires[i].width, i,
-        ),
-    )
-    wire_index = {id(d.wires[i]): n for n, i in enumerate(wire_order)}
+    # A stable sort: wires equal on all six fields keep their design order.
+    wire_order = sorted(d.wires, key=attrgetter("layer", "axis", "track", "lo", "hi", "width"))
+    wire_index = {id(w): n for n, w in enumerate(wire_order)}
     wires = []
-    for i in wire_order:
-        w = d.wires[i]
+    for w in wire_order:
         wires.append(
             {
                 "layer": w.layer,
@@ -296,12 +291,13 @@ def write_layout_json(d: Design) -> bytes:
 def read_layout_json(data: bytes | str) -> LayoutDocument:
     try:
         obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"layout document is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError("layout document must be a JSON object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(f"unsupported schema_version {obj.get('schema_version')!r}")
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # not True, not 1.0
+        raise ValidationError(f"unsupported schema_version {version!r}")
     sections = [(key, LIST) for key in ("instances", "wires", "vias", "pins", "rects")]
     read_fields(obj, [("design", STR), ("tech", STR)] + sections, "layout document")
     return LayoutDocument(obj)

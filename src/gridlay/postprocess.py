@@ -28,7 +28,7 @@ def cut_pattern_gen(d: Design, layer: str) -> list[Rect]:
     one merged pattern and never get a cut between them. The result does not
     depend on the order of the wires. Rerunning the pass adds nothing.
     """
-    rule = d.tech.cut_rule(layer)
+    rule = d.tech.layer(layer).cut
     if rule is None:
         raise NoCutRule(f"layer {layer!r} has no cut rule")
     cut_layer, threshold, margin = rule.cut_layer, rule.spacing_threshold, rule.end_margin
@@ -83,7 +83,7 @@ def extend_min_area(d: Design, layer: str) -> list[Wire]:
     The target length is rounded up to the manufacturing grid; an odd total
     extension puts the extra unit on the high end. Wires are never shrunk.
     """
-    min_area = d.tech.min_area(layer)
+    min_area = d.tech.layer(layer).min_area
     touched: list[Wire] = []
     if min_area <= 0:
         return touched

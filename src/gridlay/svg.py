@@ -1,9 +1,8 @@
 """SVG rendering for visual inspection of generated layouts.
 
-One group per layer, painted in a fixed palette (overridable per layer), with
-the y-axis flipped so the image matches layout orientation. Output is pure
-string templating over canonically sorted geometry, so equal designs render
-to identical bytes.
+One group per layer, painted in a fixed palette, with the y-axis flipped so
+the image matches layout orientation. Output is pure string templating over
+canonically sorted geometry, so equal designs render to identical bytes.
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ _PALETTE = (
 _MARGIN = 40
 
 
-def write_svg(d: Design, styles: dict[str, str] | None = None) -> bytes:
-    """Render the flattened design; `styles` maps layer name to a fill color."""
-    styles = styles or {}
+def write_svg(d: Design) -> bytes:
+    """Render the flattened design."""
     rows = list(d.iter_rows())
     # Row order is (layer, lo, hi, purpose) order up to `src`, which is not drawn.
     shapes = sorted(row for row in rows if row[5] != "pin")
@@ -36,9 +34,7 @@ def write_svg(d: Design, styles: dict[str, str] | None = None) -> bytes:
         lo_x, lo_y = x0 - _MARGIN, y0 - _MARGIN
         w, h = x1 - x0 + 2 * _MARGIN, y1 - y0 + 2 * _MARGIN
 
-    fills = {}
-    for i, name in enumerate(d.tech.layers):
-        fills[name] = styles.get(name, _PALETTE[i % len(_PALETTE)])
+    fills = {name: _PALETTE[i % len(_PALETTE)] for i, name in enumerate(d.tech.layers)}
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

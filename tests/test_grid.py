@@ -343,7 +343,7 @@ def test_track_spacing_invariant(gridtech):
         spec = GridSpec("g", tuple(tracks), (TrackSpec("m2"),))
         g = generate_routing_grid(gridtech, spec, Rect("", Point(0, 0), Point(10 ** 7, 10 ** 7)))
         n = len(g.xgrid)
-        s = gridtech.min_spacing(layer)
+        s = gridtech.layer(layer).min_spacing
         for i in range(2 * n):
             c1, c2 = g.xgrid.phys(i), g.xgrid.phys(i + 1)
             w1, w2 = g.xtracks.get(i).width, g.xtracks.get(i + 1).width

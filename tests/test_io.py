@@ -329,6 +329,21 @@ def test_json_validates_schema(finfet):
         read_layout_json(b'{"schema_version": 99}')
 
 
+@pytest.mark.parametrize("version", [b"true", b"1.0"])
+def test_schema_version_is_the_integer_1(finfet, version):
+    # True == 1.0 == 1 in Python, but neither is the schema's integer 1
+    data = write_layout_json(run_flow("dac", {"bits": 1}, finfet))
+    bad = data.replace(b'"schema_version": 1,', b'"schema_version": ' + version + b",", 1)
+    named = {b"true": "True", b"1.0": "1.0"}[version]
+    with pytest.raises(ValidationError, match=f"^unsupported schema_version {named}$"):
+        read_layout_json(bad)
+
+
+def test_deeply_nested_document_is_a_parse_error():
+    with pytest.raises(ParseError, match="^layout document is not valid JSON"):
+        read_layout_json(b"[" * 100_000)
+
+
 
 @pytest.mark.parametrize("index", [1, -1, True, "0", None])
 def test_pin_wire_index_out_of_range(finfet, index):
@@ -520,8 +535,12 @@ def test_svg_one_rect(finfet):
     assert 'data-layer="m1"' in text
 
 
-def test_svg_deterministic_and_styleable(finfet):
+def test_svg_deterministic_and_colored_per_layer(finfet):
     d = run_flow("dac", {"bits": 1}, finfet)
     assert write_svg(d) == write_svg(d)
-    styled = write_svg(d, {"m1": "#123456"}).decode()
-    assert "#123456" in styled
+    svg = write_svg(d).decode()
+    # a fixed palette of ten fills, cycled in tech layer order: m1 is layer 6,
+    # and via1, layer 11, wraps round to poly's (layer 1) fill
+    assert '<g data-layer="m1" fill="#e377c2"' in svg
+    assert '<g data-layer="poly" fill="#ff7f0e"' in svg
+    assert '<g data-layer="via1" fill="#ff7f0e"' in svg

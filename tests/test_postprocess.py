@@ -178,7 +178,7 @@ def test_cuts_do_not_depend_on_wire_order(finfet, spans, low, high, ties, axis):
     wires += [(last - high, last, p) for p in (True, False)[:1 + ties[1]]]
     reached = (any(lo == first and not p for lo, _, p in wires),
                any(hi == last and not p for _, hi, p in wires))
-    rule = finfet.cut_rule("m1")
+    rule = finfet.layer("m1").cut
     c0 = 100 - rule.cut_length // 2
     ends = [(a - rule.cut_width // 2, c0) for a in (first - rule.end_margin, last + rule.end_margin)]
     if axis == "v":

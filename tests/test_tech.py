@@ -32,14 +32,14 @@ def test_finfet_fixture_loads(finfet):
 
 
 def test_rule_queries(finfet, planar):
-    assert finfet.min_spacing("m1") == 20
-    assert finfet.min_spacing("m2") == 24
-    assert finfet.min_width("m1") == 20
-    assert finfet.min_area("m1") == 1200
-    assert finfet.cut_rule("m1").cut_layer == "cutm1"
-    assert finfet.cut_rule("m3") is None
+    assert finfet.layer("m1").min_spacing == 20
+    assert finfet.layer("m2").min_spacing == 24
+    assert finfet.layer("m1").min_width == 20
+    assert finfet.layer("m1").min_area == 1200
+    assert finfet.layer("m1").cut.cut_layer == "cutm1"
+    assert finfet.layer("m3").cut is None
     with pytest.raises(UnknownLayer):
-        planar.min_spacing("m5")
+        planar.layer("m5")
 
 
 def test_via_lookup(finfet):
@@ -146,6 +146,11 @@ def test_duplicate_layer_rejected():
 def test_parse_error_on_bad_json():
     with pytest.raises(ParseError):
         load_tech("{not json")
+
+
+def test_deeply_nested_document_is_a_parse_error():
+    with pytest.raises(ParseError, match="^tech document is not valid JSON"):
+        load_tech("[" * 100_000)
 
 
 @pytest.mark.parametrize("text", ["[]", "5", "null"])

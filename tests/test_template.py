@@ -101,25 +101,28 @@ def simple_vi(origin=Point(0, 0), transform=Transform.R0, size=Point(40, 20),
     )
 
 
+# A sub-element's offset maps through the instance transform, and its own
+# orientation composes onto the instance's. The 3x2 rect shows both: where
+# its corner lands, and which way it extends from there.
+L_RECT = (Rect("m1", Point(0, 0), Point(3, 2)),)
+
+
 def test_place_subelement_r0():
-    vi = simple_vi()
-    pos, eff = vi.place_subelement(0)
-    assert pos == Point(10, 5)
-    assert eff is Transform.R0
+    vi = simple_vi(rects=L_RECT)
+    assert vi.flatten() == [Rect("m1", Point(10, 5), Point(13, 7))]
 
 
 def test_place_subelement_my():
-    vi = simple_vi(origin=Point(100, 0), transform=Transform.MY)
-    pos, eff = vi.place_subelement(0)
-    assert pos == Point(130, 5)   # (100,0) + (40,0) + (-10,5)
-    assert eff is Transform.MY
+    vi = simple_vi(origin=Point(100, 0), transform=Transform.MY, rects=L_RECT)
+    # corner at (100,0) + (40,0) + (-10,5) = (130,5); MY extends it to -x
+    assert vi.flatten() == [Rect("m1", Point(127, 5), Point(130, 7))]
 
 
 def test_place_subelement_r180():
-    vi = simple_vi(transform=Transform.R180, sub_offset=Point(0, 0))
-    pos, eff = vi.place_subelement(0)
-    assert pos == Point(40, 20)   # 0.5*(I-T)*s equals s for R180
-    assert eff is Transform.R180
+    vi = simple_vi(transform=Transform.R180, sub_offset=Point(0, 0),
+                   sub_transform=Transform.MX, rects=L_RECT)
+    # corner at 0.5*(I-T)*s = s = (40,20) for R180; R180 after MX is MY
+    assert vi.flatten() == [Rect("m1", Point(37, 20), Point(40, 22))]
 
 
 def test_flatten_identity():
@@ -223,12 +226,9 @@ def test_array_expansion(finfet):
     cols, rows = 4, 3
     arr = array_of(vi, cols, rows, vi.size)
     assert len(arr) == cols * rows
-    origins = []
-    for inst in arr:
-        for k in range(len(inst.subelements)):
-            origins.append(inst.place_subelement(k)[0])
-    assert len(origins) == cols * rows * len(vi.subelements)
-    assert len(set(origins)) == len(origins)
+    placed = [row for inst in arr for row in inst.rows()]
+    assert len(placed) == cols * rows * len(vi.rows())
+    assert len(set(placed)) == len(placed)
     with pytest.raises(BadParams):
         array_of(vi, 0, 1, vi.size)
 

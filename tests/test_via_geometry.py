@@ -73,8 +73,8 @@ def test_via_rects_match_the_rule(tech, center):
 def oracle_pitch(tech, layer, across):
     """Track pitch of a single-track cycle on `layer`; `across` is the axis
     (0 = x, 1 = y) perpendicular to the track."""
-    spacing = tech.min_spacing(layer)
-    pitch = tech.min_width(layer) + spacing
+    spacing = tech.layer(layer).min_spacing
+    pitch = tech.layer(layer).min_width + spacing
     for via in tech.vias.values():
         if layer in (via.lower, via.upper):
             pitch = max(pitch, via.cut_size[across] + 2 * via.enclosure.get(layer, 0) + spacing)
@@ -95,7 +95,7 @@ def test_routed_via_ends_and_track_pitch_match_the_rule(tech, flip):
         assert [v.via for v in d.vias] == [via.name]
         center = (g.xgrid.phys(0), g.ygrid.phys(2))
         assert d.vias[0].pos == Point(*center)
-        vw, hw = tech.min_width(vlayer), tech.min_width(hlayer)
+        vw, hw = tech.layer(vlayer).min_width, tech.layer(hlayer).min_width
         # The via end reaches as far past the center as the pad's low side
         # lies below it (or a square cap, if that is longer).
         v_pad_below = center[1] - oracle_box(via, vlayer, center)[1]
