@@ -3,7 +3,7 @@
 Copies of a master share its flat local rows and pin rects. The oracle here
 maps every sub-element rect itself, through origin + 0.5*(I - M)*size + M*q
 with q = S*c + offset for each corner c, and every pin rect with q = c, using
-its own sign matrices; it calls neither flatten, pin_abs nor place_subelement.
+its own sign matrices; it calls none of anchor, flatten, rows and pin_abs.
 """
 
 import random
