@@ -159,7 +159,7 @@ class Design:
             if via is None:
                 return t.width // 2
             pad = self.tech.vias[via.via].pad(t.layer)
-            return max(t.width // 2, -(pad.lo.x if axis == "h" else pad.lo.y))
+            return max(t.width // 2, -(pad.x0 if axis == "h" else pad.y0))
 
         wires: list[Wire] = []
         for a, b, axis in segs:
@@ -215,12 +215,12 @@ class Design:
             yield (w.layer, *w.box(), _COLOR_PURPOSE.get(w.color, "drawing"), "wire")
         for via in self.vias:
             x, y = via.pos.x, via.pos.y
-            for layer, x0, y0, x1, y1, purpose in self.tech.vias[via.via].rows:
+            for layer, x0, y0, x1, y1, purpose in self.tech.vias[via.via].rects:
                 yield layer, x0 + x, y0 + y, x1 + x, y1 + y, purpose, "via"
         for pin in self.pins:
             yield (pin.wire.layer, *pin.wire.box(), "pin", "pin")
         for r in self.rects:
-            yield r.layer, r.lo.x, r.lo.y, r.hi.x, r.hi.y, r.purpose, "raw"
+            yield (*r, "raw")
 
 
 # -- DRC-lite spacing check ---------------------------------------------------
@@ -236,8 +236,8 @@ class Violation:
     def __str__(self) -> str:
         return (
             f"{self.layer}: spacing violation between "
-            f"({self.a.lo.x},{self.a.lo.y},{self.a.hi.x},{self.a.hi.y}) and "
-            f"({self.b.lo.x},{self.b.lo.y},{self.b.hi.x},{self.b.hi.y})"
+            f"({self.a.x0},{self.a.y0},{self.a.x1},{self.a.y1}) and "
+            f"({self.b.x0},{self.b.y0},{self.b.x1},{self.b.y1})"
         )
 
 
@@ -339,8 +339,8 @@ def _check_layer(
     out = []
     for gap_sq, i, j in sorted(best.values(), key=lambda e: (e[1], e[2])):
         if not _cut_suppressed(shapes[i], shapes[j], cuts):
-            out.append(Violation(rule.name, Rect.of_row(*shapes[i][:6]),
-                                 Rect.of_row(*shapes[j][:6]), gap_sq))
+            out.append(Violation(rule.name, Rect._make(shapes[i][:6]),
+                                 Rect._make(shapes[j][:6]), gap_sq))
     return out
 
 

@@ -129,8 +129,8 @@ class DacGenerator(Generator):
 
         for k, unit in enumerate(self.units):
             gp, sp = unit.pin_abs("g"), unit.pin_abs("s")
-            gate_x = g.xgrid.index_where("==", (gp.lo.x + gp.hi.x) // 2)
-            src_x = g.xgrid.index_where("==", (sp.lo.x + sp.hi.x) // 2)
+            gate_x = g.xgrid.index_where("==", (gp.x0 + gp.x1) // 2)
+            src_x = g.xgrid.index_where("==", (sp.x0 + sp.x1) // 2)
             # unit 0, the reference unit, goes to the output rail; unit k to
             # the rail of bit k.bit_length() - 1
             target = rails[k.bit_length()]
@@ -176,7 +176,7 @@ class ScanGenerator(Generator):
         self.rail_clk = d.route(g, [(0, 0), (ix_hi, 0)])[0]
         for cell in self.cells:
             pin = cell.pin_abs("clk")
-            cx = g.xgrid.index_where("==", (pin.lo.x + pin.hi.x) // 2)
+            cx = g.xgrid.index_where("==", (pin.x0 + pin.x1) // 2)
             d.route(g, [(cx, 0), (cx, 1)])
             d.add_via(g, (cx, 0))
 
@@ -184,8 +184,8 @@ class ScanGenerator(Generator):
         return d.add_wire(
             Wire(
                 layer=rect.layer, axis="h",
-                track=(rect.lo.y + rect.hi.y) // 2,
-                lo=rect.lo.x, hi=rect.hi.x, width=rect.height,
+                track=(rect.y0 + rect.y1) // 2,
+                lo=rect.x0, hi=rect.x1, width=rect.height,
             )
         )
 

@@ -8,7 +8,7 @@ geometry path. Values are immutable and safe to share between threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 # Rectangle purposes. "drawing" is plain geometry; "pin" marks label shapes
 # (exported on datatype+1 and skipped by the spacing checker); "cut" marks
@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 PURPOSES = ("drawing", "pin", "cut", "dummy", "colorA", "colorB")
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    x: int
-    y: int
+class Point(namedtuple("Point", "x y")):
+    """An integer (x, y) pair; `+` and `-` act on it as a vector."""
+
+    __slots__ = ()
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -66,48 +66,49 @@ def apply(t: Transform, p: Point) -> Point:
     return Point(sx * p.x, sy * p.y)
 
 
-@dataclass(frozen=True)
-class Rect:
-    """An axis-aligned rectangle on a layer, normalized so lo <= hi."""
+class Rect(namedtuple("Row", "layer x0 y0 x1 y1 purpose")):
+    """An axis-aligned rectangle on a layer: the flat row (layer, x0, y0, x1,
+    y1, purpose) with x0 <= x1 and y0 <= y1.
 
-    layer: str
-    lo: Point
-    hi: Point
-    purpose: str = "drawing"
+    `Rect(layer, lo, hi, purpose)` orders the corners and checks the purpose.
+    `Rect._make(row)` takes a row that is already normalized and carries a
+    known purpose, and checks nothing.
+    """
 
-    def __post_init__(self):
-        if self.purpose not in PURPOSES:
-            raise ValueError(f"unknown purpose {self.purpose!r}")
-        lo = Point(min(self.lo.x, self.hi.x), min(self.lo.y, self.hi.y))
-        hi = Point(max(self.lo.x, self.hi.x), max(self.lo.y, self.hi.y))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    __slots__ = ()
 
-    @staticmethod
-    def of_row(layer: str, x0: int, y0: int, x1: int, y1: int, purpose: str) -> "Rect":
-        """The rect of a flat row's box, which is normalized and carries a
-        known purpose, so the rect skips __post_init__."""
-        out = object.__new__(Rect)
-        out.__dict__.update(layer=layer, lo=Point(x0, y0), hi=Point(x1, y1), purpose=purpose)
-        return out
+    def __new__(cls, layer: str, lo: Point, hi: Point, purpose: str = "drawing") -> "Rect":
+        if purpose not in PURPOSES:
+            raise ValueError(f"unknown purpose {purpose!r}")
+        return cls._make((layer, min(lo.x, hi.x), min(lo.y, hi.y), max(lo.x, hi.x),
+                          max(lo.y, hi.y), purpose))
+
+    def __getnewargs__(self):
+        # copy and pickle pass these to __new__
+        return self.layer, self.lo, self.hi, self.purpose
+
+    @property
+    def lo(self) -> Point:
+        return Point(self.x0, self.y0)
+
+    @property
+    def hi(self) -> Point:
+        return Point(self.x1, self.y1)
 
     @property
     def width(self) -> int:
-        return self.hi.x - self.lo.x
+        return self.x1 - self.x0
 
     @property
     def height(self) -> int:
-        return self.hi.y - self.lo.y
+        return self.y1 - self.y0
 
     def translated(self, d: Point) -> "Rect":
-        # A shift keeps lo <= hi and the purpose, so the copy skips
-        # __post_init__: flattening translates every placed rect.
-        out = object.__new__(Rect)
-        out.__dict__.update(layer=self.layer, lo=self.lo + d, hi=self.hi + d, purpose=self.purpose)
-        return out
+        layer, x0, y0, x1, y1, purpose = self
+        return Rect._make((layer, x0 + d.x, y0 + d.y, x1 + d.x, y1 + d.y, purpose))
 
     def with_purpose(self, purpose: str) -> "Rect":
-        return replace(self, purpose=purpose)
+        return Rect(self.layer, self.lo, self.hi, purpose)
 
     def intersection(self, other: "Rect") -> "Rect | None":
         """Overlap box, boundary included; None when the rects are apart.
@@ -115,14 +116,13 @@ class Rect:
         A shared edge yields a degenerate (zero-width/height) rectangle,
         which callers that need positive-area overlap must reject themselves.
         """
-        lo = Point(max(self.lo.x, other.lo.x), max(self.lo.y, other.lo.y))
-        hi = Point(min(self.hi.x, other.hi.x), min(self.hi.y, other.hi.y))
-        if lo.x > hi.x or lo.y > hi.y:
+        x0, y0 = max(self.x0, other.x0), max(self.y0, other.y0)
+        x1, y1 = min(self.x1, other.x1), min(self.y1, other.y1)
+        if x0 > x1 or y0 > y1:
             return None
-        return Rect(self.layer, lo, hi, self.purpose)
+        return Rect._make((self.layer, x0, y0, x1, y1, self.purpose))
 
 
 def apply_rect(t: Transform, r: Rect) -> Rect:
     """Transform both corners and re-normalize."""
-    return replace(r, lo=apply(t, r.lo), hi=apply(t, r.hi))
-
+    return Rect(r.layer, apply(t, r.lo), apply(t, r.hi), r.purpose)

@@ -261,10 +261,10 @@ def overlap_range(g: RoutingGrid, a: Rect, b: Rect) -> IndexWindow | None:
     box = a.intersection(b)
     if box is None:
         return None
-    x0 = g.xgrid.index_where(">=", box.lo.x)
-    x1 = g.xgrid.index_where("<=", box.hi.x)
-    y0 = g.ygrid.index_where(">=", box.lo.y)
-    y1 = g.ygrid.index_where("<=", box.hi.y)
+    x0 = g.xgrid.index_where(">=", box.x0)
+    x1 = g.xgrid.index_where("<=", box.x1)
+    y0 = g.ygrid.index_where(">=", box.y0)
+    y1 = g.ygrid.index_where("<=", box.y1)
     if x0 > x1 or y0 > y1:
         return None
     return IndexWindow(x0, x1, y0, y1)

@@ -399,9 +399,9 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
         d.pins.append(Pin(name, net, wire))
 
     # The purpose is checked, and the corners ordered here, so the rects skip
-    # Rect.__post_init__.
+    # Rect's checks.
     fields = (("layer", layer), ("bbox", QUAD), ("purpose", one_of(*PURPOSES)))
-    d.rects = [Rect.of_row(name, min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1), purpose)
+    d.rects = [Rect._make((name, min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1), purpose))
                for name, (x0, y0, x1, y1), purpose in _raw_rect_fields(data["rects"], fields)]
 
     pgrid = read(data, "pgrid", or_null(OBJECT), "layout document", default=None)

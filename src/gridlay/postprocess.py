@@ -34,11 +34,7 @@ def cut_pattern_gen(d: Design, layer: str) -> list[Rect]:
     cut_layer, threshold, margin = rule.cut_layer, rule.spacing_threshold, rule.end_margin
     cw, cl = rule.cut_width, rule.cut_length
 
-    existing = {
-        (r.lo.x, r.lo.y, r.hi.x, r.hi.y)
-        for r in d.rects
-        if r.layer == cut_layer and r.purpose == "cut"
-    }
+    existing = set(d.rects)
     tracks: dict[tuple[str, int], list[tuple[int, int, bool]]] = {}
     for w in d.wires:
         if w.layer == layer:
@@ -67,11 +63,13 @@ def cut_pattern_gen(d: Design, layer: str) -> list[Rect]:
             centers.append(end + margin)
         for center in centers:
             a0 = center - cw // 2
-            # cut width and length are positive, so the box is normalized
-            box = (a0, c0, a0 + cw, c0 + cl) if axis == "h" else (c0, a0, c0 + cl, a0 + cw)
-            if box not in existing:
-                existing.add(box)
-                r = Rect.of_row(cut_layer, *box, "cut")
+            # Cut width and length are positive, so the row is normalized. A
+            # Rect equals the tuple of its row, so `existing` finds either.
+            row = ((cut_layer, a0, c0, a0 + cw, c0 + cl, "cut") if axis == "h"
+                   else (cut_layer, c0, a0, c0 + cl, a0 + cw, "cut"))
+            if row not in existing:
+                existing.add(row)
+                r = Rect._make(row)
                 d.rects.append(r)
                 out.append(r)
     return out
@@ -152,14 +150,14 @@ def fill_dummies(d: Design, region: Rect) -> list[VirtualInstance]:
 
     gx, gy = d.pgrid.xgrid, d.pgrid.ygrid
     added: list[VirtualInstance] = []
-    j = gy.index_where(">=", region.lo.y)
-    while gy.phys(j) < region.hi.y:
+    j = gy.index_where(">=", region.y0)
+    while gy.phys(j) < region.y1:
         y0, y1 = gy.phys(j), gy.phys(j + 1)
         row = [(bx0, bx1) for bx0, by0, bx1, by1 in boxes if by0 < y1 and y0 < by1]
         k = 0
-        i = gx.index_where(">=", region.lo.x)
+        i = gx.index_where(">=", region.x0)
         x0 = reach = gx.phys(i)  # reach: largest hi.x of the boxes passed
-        while x0 < region.hi.x:
+        while x0 < region.x1:
             x1 = gx.phys(i + 1)
             while k < len(row) and row[k][0] < x1:
                 reach = max(reach, row[k][1])

@@ -83,8 +83,7 @@ class ViaDef:
 
     `rects` holds the cut and the lower and upper landing pads relative to the
     via center, built once here: a pad is the cut grown by its layer's
-    enclosure (0 for a layer without one) on every side. `rows` holds the
-    same three as flat rows (layer, x0, y0, x1, y1, purpose).
+    enclosure (0 for a layer without one) on every side.
     """
 
     name: str
@@ -94,7 +93,6 @@ class ViaDef:
     cut_size: tuple[int, int]
     enclosure: Mapping[str, int]
     rects: tuple[Rect, Rect, Rect] = field(init=False, repr=False, compare=False)
-    rows: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cw, ch = self.cut_size
@@ -105,11 +103,8 @@ class ViaDef:
             e = self.enclosure.get(layer, 0)
             return Rect(layer, lo - Point(e, e), hi + Point(e, e))
 
-        cut = Rect(self.cut_layer, lo, hi)
-        rects = (cut, pad(self.lower), pad(self.upper))
-        rows = tuple((r.layer, r.lo.x, r.lo.y, r.hi.x, r.hi.y, r.purpose) for r in rects)
+        rects = (Rect(self.cut_layer, lo, hi), pad(self.lower), pad(self.upper))
         object.__setattr__(self, "rects", rects)
-        object.__setattr__(self, "rows", rows)
 
     def pad(self, layer: str) -> Rect:
         """The landing pad on `layer` (one of lower, upper), relative to the center."""
@@ -183,14 +178,18 @@ def _parse_via(d: dict, at: str, layer_name: Kind) -> ViaDef:
     name = read(d, "name", STR, at)
     where = f"via {name}"
     cut_size = read(d, "cut_size", PAIR, where)
+    lower = read(d, "lower", layer_name, where)
+    upper = read(d, "upper", Kind(lambda v: v != lower and layer_name.test(v),
+                                  f"a defined layer other than lower {lower!r}"), where)
+    ends = one_of(lower, upper)
     return ViaDef(
         name=name,
-        lower=read(d, "lower", layer_name, where),
-        upper=read(d, "upper", layer_name, where),
+        lower=lower,
+        upper=upper,
         cut_layer=read(d, "cut_layer", layer_name, where),
         cut_size=tuple(check(c, POS_INT, f"{where}.cut_size", i) for i, c in enumerate(cut_size)),
         enclosure={
-            k: check(v, NONNEG_INT, f"{where}.enclosure.{k}")
+            check(k, ends, f"{where}.enclosure.{k}"): check(v, NONNEG_INT, f"{where}.enclosure.{k}")
             for k, v in read(d, "enclosure", OBJECT, where).items()
         },
     )

@@ -175,7 +175,7 @@ class DynamicTemplate:
 
 
 def _inside(r: Rect, size: Point) -> bool:
-    return 0 <= r.lo.x and 0 <= r.lo.y and r.hi.x <= size.x and r.hi.y <= size.y
+    return 0 <= r.x0 and 0 <= r.y0 and r.x1 <= size.x and r.y1 <= size.y
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class VirtualInstance:
 
     Every copy made by `at()` shares one cache, `_local`, filled once per
     transform: the master's flat rows relative to the anchor (key: the
-    transform) and each pin box relative to the origin (key: (pin name,
+    transform) and each pin rect relative to the origin (key: (pin name,
     transform)), so placing a master many times transforms its sub-element
     rects only once and each placed row or pin is an addition of integers.
     """
@@ -245,8 +245,7 @@ class VirtualInstance:
                 apply_rect(compose(transform, s.transform), r).translated(apply(transform, s.offset))
                 for s in self.subelements for r in s.rects
             )
-            rows = self._local[transform] = tuple(
-                (r.layer, r.lo.x, r.lo.y, r.hi.x, r.hi.y, r.purpose, "inst") for r in rects)
+            rows = self._local[transform] = tuple((*r, "inst") for r in rects)
         return rows
 
     def rows(self) -> list[tuple]:
@@ -259,7 +258,7 @@ class VirtualInstance:
 
     def flatten(self) -> list[Rect]:
         """All sub-element geometry in absolute coordinates."""
-        return [Rect.of_row(*row[:6]) for row in self.rows()]
+        return [Rect._make(row[:6]) for row in self.rows()]
 
     def pin_abs(self, name: str) -> Rect:
         """A pin rect transformed exactly like sub-element geometry."""
@@ -269,14 +268,11 @@ class VirtualInstance:
             pin = self.pins.get(name)
             if pin is None:
                 raise UnknownPin(f"{self.master} has no pin {name!r}")
-            # the transformed pin box, shifted by the anchor's offset from the origin
-            r, (ax, ay) = apply_rect(self.transform, pin.rect), self.anchor()
-            ax, ay = ax - self.origin.x, ay - self.origin.y
-            local = self._local[key] = (r.layer, r.lo.x + ax, r.lo.y + ay,
-                                        r.hi.x + ax, r.hi.y + ay, r.purpose)
-        layer, x0, y0, x1, y1, purpose = local
-        ox, oy = self.origin.x, self.origin.y
-        return Rect.of_row(layer, x0 + ox, y0 + oy, x1 + ox, y1 + oy, purpose)
+            # the transformed pin rect, shifted by the anchor's offset from the origin
+            ax, ay = self.anchor()
+            local = self._local[key] = apply_rect(self.transform, pin.rect).translated(
+                Point(ax - self.origin.x, ay - self.origin.y))
+        return local.translated(self.origin)
 
 
 def generate(tpl, params: Mapping[str, Any], tech: "TechDB") -> VirtualInstance:

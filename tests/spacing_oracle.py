@@ -43,7 +43,7 @@ def cut_suppressed(a: Rect, b: Rect, cuts: list[Rect]) -> bool:
 
 def oracle_check_spacing(d: Design, layer: str) -> list[Violation]:
     rule = d.tech.layer(layer)
-    flat = [Rect.of_row(*row[:6]) for row in d.iter_rows()]
+    flat = [Rect._make(row[:6]) for row in d.iter_rows()]
     shapes = [r for r in flat if r.layer == layer and r.purpose != "pin"]
     cuts = []
     if rule.cut is not None:

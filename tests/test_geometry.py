@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gridlay.design import Design
+from gridlay.design import Design, check_all
+from gridlay.flow import run_flow
 from gridlay.geometry import (
     Point,
     Rect,
@@ -128,6 +129,24 @@ def test_rect_normalizes_corners():
     r = Rect("m1", Point(5, 6), Point(1, 2))
     assert r.lo == Point(1, 2) and r.hi == Point(5, 6)
     assert r.width == 4 and r.height == 4
+
+
+def test_rect_is_its_flat_row(finfet):
+    r = Rect("m1", Point(5, 6), Point(1, 2), "pin")
+    assert tuple(r) == ("m1", 1, 2, 5, 6, "pin")
+    made = Rect._make(("m1", 1, 2, 5, 6, "pin"))
+    assert type(made) is Rect and made == r
+    # A caller-built rect appended to a flow design, as the signoff benchmark
+    # injects its defects, is a raw row as it stands, and the checker reports it.
+    d = run_flow("dac", {"bits": 2}, finfet)
+    assert check_all(d) == []
+    a = Rect("m1", Point(1000, 1000), Point(1040, 1040))
+    b = Rect("m1", Point(1050, 1000), Point(1090, 1040))
+    d.rects += [a, b]
+    assert list(d.own_rows())[-2:] == [(*a, "raw"), (*b, "raw")]
+    [v] = check_all(d)
+    assert (v.a, v.b, v.gap_sq) == (a, b, 100)
+    assert str(v) == "m1: spacing violation between (1000,1000,1040,1040) and (1050,1000,1090,1040)"
 
 
 def test_rect_rejects_unknown_purpose():

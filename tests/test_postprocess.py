@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from gridlay import postprocess
@@ -380,7 +380,9 @@ grid_axis = st.integers(5, 40).flatmap(
 block = st.tuples(st.integers(-60, 160), st.integers(-60, 160), st.integers(0, 70), st.integers(0, 70))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# A fixed seed, not derandomize, so that editing the body keeps the draw.
+@settings(max_examples=200, deadline=None, derandomize=False, database=None)
+@seed(16)
 @given(
     xgrid=grid_axis,
     ygrid=grid_axis,

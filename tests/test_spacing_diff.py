@@ -7,7 +7,7 @@ pairs, in the same order, with the same squared gaps.
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from gridlay.design import Design, check_all, check_spacing
@@ -59,7 +59,9 @@ lattice_rect = st.tuples(
 )
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# A fixed seed, not derandomize, so that editing the body keeps the draw.
+@settings(max_examples=150, deadline=None, derandomize=False, database=None)
+@seed(16)
 @given(
     tech_name=st.sampled_from(TECHS),
     shapes=st.lists(lattice_rect, max_size=24),
@@ -70,6 +72,10 @@ lattice_rect = st.tuples(
 # two m1 shapes a quarter spacing apart, their gap bisected by a cut
 @example(tech_name="mock_finfet", cuts=[], bisect=[(0, 1)],
          shapes=[("m1", 0, 0, 2, 2, 0, 0, "drawing"), ("m1", 3, 0, 2, 2, 0, 0, "drawing")])
+# two m1 shapes a quarter spacing apart diagonally, a cut spanning their x gap:
+# a diagonal gap is never cuttable
+@example(tech_name="mock_finfet", cuts=[(2, 0, 1, 3)], bisect=[],
+         shapes=[("m1", 0, 0, 2, 2, 0, 0, "drawing"), ("m1", 3, 3, 2, 2, 0, 0, "drawing")])
 def test_sweep_matches_oracle_on_random_rects(techs, tech_name, shapes, cuts, bisect):
     tech = techs[tech_name]
     step = tech.layer("m1").min_spacing // 4
@@ -128,7 +134,7 @@ def test_long_shape_stays_in_the_window(finfet):
 def inject_defects(d: Design, rng: random.Random, k: int) -> None:
     """Add k raw rects at a sub-spacing gap (in x, in y or diagonal) from
     existing m1/m2 shapes, and one isolated too-close pair above the design."""
-    targets = [Rect.of_row(*row[:6]) for row in d.iter_rows()
+    targets = [Rect._make(row[:6]) for row in d.iter_rows()
                if row[0] in LAYERS and row[5] != "pin"]
     top = max(row[4] for row in d.iter_rows()) + 1000
     s = d.tech.layer("m1").min_spacing

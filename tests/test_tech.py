@@ -172,6 +172,9 @@ BAD_VALUES = [
     (("grids", "sig", "ytracks", 2, "wmul"), 0, "grid sig.ytracks[2].wmul"),
     (("vias", 0, "cut_size"), [4], "via v12.cut_size"),
     (("vias", 0, "enclosure"), [2, 4], "via v12.enclosure"),
+    # An enclosure key must name the via's lower or upper layer, which differ.
+    (("vias", 0, "enclosure", "M1"), 2, "via v12.enclosure.M1: must be one of ['m1', 'm2']"),
+    (("vias", 0, "upper"), "m1", "via v12.upper: must be a defined layer other than lower 'm1'"),
     (("templates", "scan_core", "pins"), [], "template scan_core"),
     (("templates",), [], "tech.templates"),
     (("grids",), [], "tech.grids"),
