@@ -1,6 +1,6 @@
 """gridlay: procedural IC layout generation.
 
-Dynamic templates instantiate into virtual instances placed by exact integer
+Templates instantiate into virtual instances placed by exact integer
 transform algebra; routing grids are generated on demand from track patterns;
 post-processing handles cut patterns, minimum-area extension, patterning
 colors, and dummy fill; designs export to GDSII, canonical JSON, and SVG.
@@ -59,11 +59,10 @@ from .postprocess import (
 from .svg import write_svg
 from .tech import CutRule, LayerDef, TechDB, ViaDef, load_tech, load_tech_file
 from .template import (
-    DynamicTemplate,
-    NativeTemplate,
     ParamSpec,
     PinDef,
     SubElement,
+    Template,
     VirtualInstance,
     array_of,
     generate,

@@ -24,6 +24,7 @@ from .errors import (
     PAIR,
     POS_INT,
     STR,
+    BadParams,
     Kind,
     ParseError,
     UnknownLayer,
@@ -36,15 +37,7 @@ from .errors import (
 )
 from .geometry import Point, Rect
 from .grid import GridSpec, TrackSpec
-from .template import (
-    _KIND_BUILDERS,
-    PARAM_KINDS,
-    DynamicTemplate,
-    NativeTemplate,
-    ParamSpec,
-    _parse_pins,
-    _parse_rect,
-)
+from .template import _KIND_BUILDERS, PARAM_KINDS, ParamSpec, Template, validate_params
 
 BUNDLED_TECHS = ("mock_planar", "mock_finfet")
 
@@ -117,7 +110,7 @@ class TechDB:
     unit_nm: int
     layers: Mapping[str, LayerDef]
     vias: Mapping[str, ViaDef]
-    templates: Mapping[str, NativeTemplate | DynamicTemplate]
+    templates: Mapping[str, Template]
     grids: Mapping[str, GridSpec]
 
     def layer(self, name: str) -> LayerDef:
@@ -133,7 +126,7 @@ class TechDB:
                 return via
         return None
 
-    def template(self, name: str):
+    def template(self, name: str) -> Template:
         tpl = self.templates.get(name)
         if tpl is None:
             raise ValidationError(f"{self.name} has no template {name!r}")
@@ -203,39 +196,39 @@ def _parse_param_schema(d: dict, where: str, required: dict[str, str]) -> dict[s
     for pname, p in d.items():
         at = f"{where}.params.{pname}"
         ptype = read(p, "type", one_of(*PARAM_KINDS), at)
+        kind = PARAM_KINDS[ptype]
         choices = read(p, "choices", LIST, at, default=None)
-        schema[pname] = ParamSpec(
+        spec = schema[pname] = ParamSpec(
             type=ptype,
-            default=read(p, "default", or_null(PARAM_KINDS[ptype]), at, default=None),
-            choices=None if choices is None else tuple(choices),
+            default=read(p, "default", or_null(kind), at, default=None),
+            choices=None if choices is None else tuple(
+                check(c, kind, f"{at}.choices", i) for i, c in enumerate(choices)),
             min=read(p, "min", or_null(INT), at, default=None),
             max=read(p, "max", or_null(INT), at, default=None),
         )
+        if spec.min is not None and spec.max is not None and spec.min > spec.max:
+            raise ValidationError(f"{at}.min: must be <= max {spec.max}, got {spec.min}")
+        if spec.default is not None:  # the default must pass the checks a given value does
+            try:
+                validate_params({pname: spec}, {pname: spec.default})
+            except BadParams as exc:
+                raise ValidationError(f"{at}.default: {exc}") from exc
     return schema
 
 
-def _parse_template(name: str, d: dict, layer_name: Kind):
+def _parse_template(name: str, d: dict, layer_name: Kind) -> Template:
     where = f"template {name}"
-    kind = read(d, "kind", one_of("native", *_KIND_BUILDERS), where)
-    if kind == "native":
-        sx, sy = read(d, "size", PAIR, where)
-        pins = _parse_pins(read(d, "pins", OBJECT, where, default={}), where, layer_name)
-        geometry = tuple(
-            _parse_rect(e, where, layer_name)
-            for e in read(d, "geometry", LIST, where, default=[])
-        )
-        try:
-            return NativeTemplate(name=name, size=Point(sx, sy), pins=pins, geometry=geometry)
-        except ValueError as exc:  # a negative size, or a pin outside the cell
-            raise ValidationError(str(exc)) from exc
+    kind = read(d, "kind", one_of(*_KIND_BUILDERS), where)
     kdef = _KIND_BUILDERS[kind]
+    if kind == "native":  # size, pins and geometry sit at the entry's top level
+        return Template(name, kind, {}, kdef.parse_config(d, where, layer_name))
     cwhere = f"{where}.config"
     config = read(d, "config", OBJECT, where, default={})
     for key, ckind in kdef.config.items():
         read(config, key, ckind, cwhere)
     if kdef.parse_config is not None:
         config = kdef.parse_config(config, cwhere, layer_name)
-    return DynamicTemplate(
+    return Template(
         name=name,
         kind=kind,
         schema=_parse_param_schema(
@@ -245,18 +238,16 @@ def _parse_template(name: str, d: dict, layer_name: Kind):
 
 
 def _check_template_refs(templates: dict) -> None:
-    """Each native template a dynamic kind reads by a config key exists and
-    has the pins the kind's builder reads."""
-    native = key_of({n for n, t in templates.items() if isinstance(t, NativeTemplate)},
-                    "a native template")
+    """Each native template a kind reads by a config key exists and has the
+    pins the kind's builder reads."""
+    native = key_of({n for n, t in templates.items() if t.kind == "native"}, "a native template")
     for tpl in templates.values():
-        if isinstance(tpl, DynamicTemplate):
-            for key, pins in _KIND_BUILDERS[tpl.kind].templates.items():
-                at = f"template {tpl.name}.config.{key}"
-                ref = templates[check(tpl.config[key], native, at)]
-                for pin in pins:
-                    if pin not in ref.pins:
-                        raise ValidationError(f"{at}: template {ref.name} has no pin {pin!r}")
+        for key, pins in _KIND_BUILDERS[tpl.kind].templates.items():
+            at = f"template {tpl.name}.config.{key}"
+            ref = templates[check(tpl.config[key], native, at)]
+            for pin in pins:
+                if pin not in ref.config["pins"]:
+                    raise ValidationError(f"{at}: template {ref.name} has no pin {pin!r}")
 
 
 def _parse_grid(name: str, d: dict, layer_name: Kind) -> GridSpec:

@@ -1,10 +1,11 @@
 """Templates and their instantiation into virtual instances.
 
-A native template is a fixed piece of geometry with pins. A dynamic template
-is a data-driven generator definition: its parameters select sub-element
-counts and flavors at instantiation time, and the result is wrapped into a
-VirtualInstance — a group of placed sub-elements that behaves like a single
-instance with one bounding box, one transform, and one pin set.
+A template is a data-driven generator definition: its `kind` names a built-in
+builder, and its parameters select sub-element counts and flavors at
+instantiation time. The `native` kind is a fixed piece of geometry with pins
+and no parameters. `generate` wraps the result into a VirtualInstance — a
+group of placed sub-elements that behaves like a single instance with one
+bounding box, one transform, and one pin set.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from .errors import (
     LIST,
     NONNEG_INT,
     OBJECT,
+    PAIR,
     POS_INT,
     QUAD,
     STR,
     BadParams,
     Kind,
     UnknownPin,
+    ValidationError,
     check,
     one_of,
     or_null,
@@ -128,50 +131,19 @@ class SubElement:
 
 
 @dataclass(frozen=True)
-class NativeTemplate:
-    """A fixed cell: bbox size, pins, and raw geometry, all in local frame."""
-
-    name: str
-    size: Point
-    pins: Mapping[str, PinDef]
-    geometry: tuple[Rect, ...]
-
-    def __post_init__(self):
-        if self.size.x < 0 or self.size.y < 0:
-            raise ValueError(f"template {self.name}: negative size")
-        for pname, pin in self.pins.items():
-            if not _inside(pin.rect, self.size):
-                raise ValueError(f"template {self.name}: pin {pname} outside bbox")
-
-
-@dataclass(frozen=True)
-class DynamicTemplate:
-    """A parameterized generator definition loaded from technology data.
+class Template:
+    """A generator definition loaded from technology data.
 
     `kind` selects one of the built-in builders; `config` carries the
-    technology-specific dimensions and layer names the builder consumes.
-    Generation is a pure function of (params, tech).
+    technology-specific dimensions, layer names and, for a native cell, the
+    size, pins and geometry the builder consumes. Generation is a pure
+    function of (params, tech).
     """
 
     name: str
     kind: str
     schema: Mapping[str, ParamSpec]
     config: Mapping[str, Any]
-
-    def generate(self, params: Mapping[str, Any], tech: "TechDB") -> "VirtualInstance":
-        clean = validate_params(self.schema, params)
-        if self.kind not in _KIND_BUILDERS:
-            raise BadParams(f"template {self.name}: unknown kind {self.kind!r}")
-        size, subelements, pins = _KIND_BUILDERS[self.kind].build(self, clean, tech)
-        return VirtualInstance(
-            master=self.name,
-            params=clean,
-            origin=Point(0, 0),
-            transform=Transform.R0,
-            size=size,
-            subelements=tuple(subelements),
-            pins=dict(pins),
-        )
 
 
 def _inside(r: Rect, size: Point) -> bool:
@@ -275,25 +247,20 @@ class VirtualInstance:
         return local.translated(self.origin)
 
 
-def generate(tpl, params: Mapping[str, Any], tech: "TechDB") -> VirtualInstance:
-    """Instantiate a template at origin (0,0), R0.
-
-    Native templates take no parameters; dynamic templates validate `params`
-    against their schema.
-    """
-    if isinstance(tpl, NativeTemplate):
-        if params:
-            raise BadParams(f"native template {tpl.name} takes no parameters")
-        return VirtualInstance(
-            master=tpl.name,
-            params={},
-            origin=Point(0, 0),
-            transform=Transform.R0,
-            size=tpl.size,
-            subelements=(SubElement(tpl.geometry, Point(0, 0), Transform.R0, tpl.name),),
-            pins=dict(tpl.pins),
-        )
-    return tpl.generate(params, tech)
+def generate(tpl: Template, params: Mapping[str, Any], tech: "TechDB") -> VirtualInstance:
+    """Instantiate a template at origin (0,0), R0, after checking `params`
+    against its schema (empty for a native cell)."""
+    clean = validate_params(tpl.schema, params)
+    size, subelements, pins = _KIND_BUILDERS[tpl.kind].build(tpl, clean, tech)
+    return VirtualInstance(
+        master=tpl.name,
+        params=clean,
+        origin=Point(0, 0),
+        transform=Transform.R0,
+        size=size,
+        subelements=tuple(subelements),
+        pins=dict(pins),
+    )
 
 
 def array_of(vi: VirtualInstance, cols: int, rows: int, pitch: Point) -> list[VirtualInstance]:
@@ -307,7 +274,13 @@ def array_of(vi: VirtualInstance, cols: int, rows: int, pitch: Point) -> list[Vi
     ]
 
 
-# --- built-in dynamic template kinds ---------------------------------------
+# --- built-in template kinds -----------------------------------------------
+
+def _build_native(tpl: Template, params: dict, tech: "TechDB"):
+    """The cell's geometry as one sub-element named after the template."""
+    cfg = tpl.config
+    return cfg["size"], (SubElement(cfg["geometry"], Point(0, 0), Transform.R0, tpl.name),), cfg["pins"]
+
 
 def _mos_cell(cfg: Mapping[str, Any], core: bool, vth_marker, ch_marker) -> tuple[Rect, ...]:
     pp = cfg["poly_pitch"]
@@ -325,7 +298,7 @@ def _mos_cell(cfg: Mapping[str, Any], core: bool, vth_marker, ch_marker) -> tupl
     return tuple(rects)
 
 
-def _build_mos(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
+def _build_mos(tpl: Template, params: dict, tech: "TechDB"):
     """nf core cells flanked by two boundary dummies; pins on poly-pitch columns."""
     cfg = tpl.config
     nf = params["nf"]
@@ -358,7 +331,7 @@ def _build_mos(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
     return size, subelements, pins
 
 
-def _build_strip(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
+def _build_strip(tpl: Template, params: dict, tech: "TechDB"):
     """n repeats of a configured cell in a row (tap/decap stand-ins)."""
     cfg = tpl.config
     n = params["n"]
@@ -370,34 +343,51 @@ def _build_strip(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
     return Point(n * cw, cfg["row_height"]), subelements, cfg["pins"]
 
 
-def _build_scan_bit(tpl: DynamicTemplate, params: dict, tech: "TechDB"):
+def _build_scan_bit(tpl: Template, params: dict, tech: "TechDB"):
     """One scan cell: core block plus an optional level-shift block abutted right.
 
     Chain pins sit flush on the cell edges so abutted cells connect by
     coordinate coincidence.
     """
     cfg = tpl.config
-    core = tech.template(cfg["core"])
-    subelements = [SubElement(core.geometry, Point(0, 0), Transform.R0, core.name)]
-    width = core.size.x
+    core = tech.template(cfg["core"]).config
+    subelements = [SubElement(core["geometry"], Point(0, 0), Transform.R0, cfg["core"])]
+    width = core["size"].x
     if params["with_levelshift"]:
-        ls = tech.template(cfg["levelshift"])
-        subelements.append(SubElement(ls.geometry, Point(width, 0), Transform.R0, ls.name))
-        out_rect = ls.pins["out"].rect.translated(Point(width, 0))
-        width += ls.size.x
+        ls = tech.template(cfg["levelshift"]).config
+        subelements.append(SubElement(ls["geometry"], Point(width, 0), Transform.R0, cfg["levelshift"]))
+        out_rect = ls["pins"]["out"].rect.translated(Point(width, 0))
+        width += ls["size"].x
     else:
-        out_rect = core.pins["scan_out"].rect
+        out_rect = core["pins"]["scan_out"].rect
     pins = {
-        "scan_in": PinDef(core.pins["scan_in"].rect, "si"),
+        "scan_in": PinDef(core["pins"]["scan_in"].rect, "si"),
         "scan_out": PinDef(out_rect, "so"),
-        "clk": PinDef(core.pins["clk"].rect, "clk"),
+        "clk": PinDef(core["pins"]["clk"].rect, "clk"),
     }
-    return Point(width, core.size.y), subelements, pins
+    return Point(width, core["size"].y), subelements, pins
 
 
 # The native templates a scan_bit names, by config key, and the pins
 # _build_scan_bit reads of each.
 _SCAN_BIT_PINS = {"core": ("scan_in", "scan_out", "clk"), "levelshift": ("out",)}
+
+
+def _parse_native_config(d: dict, where: str, layer_name: Kind) -> dict:
+    """A native cell's size, pins and geometry, read from the top level of its
+    entry at load: the pins must lie inside [0, size]."""
+    sx, sy = read(d, "size", PAIR, where)
+    pins = _parse_pins(read(d, "pins", OBJECT, where, default={}), where, layer_name)
+    geometry = tuple(
+        _parse_rect(e, where, layer_name) for e in read(d, "geometry", LIST, where, default=[])
+    )
+    if sx < 0 or sy < 0:
+        raise ValidationError(f"{where}: negative size")
+    size = Point(sx, sy)
+    for pname, pin in pins.items():
+        if not _inside(pin.rect, size):
+            raise ValidationError(f"{where}: pin {pname} outside bbox")
+    return {"size": size, "pins": pins, "geometry": geometry}
 
 
 def _parse_mos_config(cfg: dict, where: str, layer_name: Kind) -> dict:
@@ -422,7 +412,7 @@ def _parse_strip_config(cfg: dict, where: str, layer_name: Kind) -> dict:
 
 
 class KindDef(NamedTuple):
-    """A built-in dynamic kind, with what its builder reads so that the tech
+    """A built-in kind, with what its builder reads so that the tech
     loader can reject a template the builder would fail on."""
 
     build: Callable                     # (template, params, tech) -> (size, subelements, pins)
@@ -435,8 +425,10 @@ class KindDef(NamedTuple):
 # The loader rejects any other kind, a schema without one of the params its
 # entry names or typing it otherwise, a config without one of the keys, a
 # layer name the tech does not define, and a named template that is not
-# native or lacks one of the pins.
+# native or lacks one of the pins. A native entry has no params or config
+# object: its parser reads the entry itself.
 _KIND_BUILDERS: dict[str, KindDef] = {
+    "native": KindDef(_build_native, {}, {}, _parse_native_config),
     "mos": KindDef(_build_mos, {"nf": "int", "vth": "str", "channel": "str"}, {
         "poly_pitch": POS_INT, "row_height": POS_INT, "poly_width": POS_INT,
         "poly_margin": NONNEG_INT, "active_margin": NONNEG_INT,

@@ -1,6 +1,6 @@
 """Fuzz the command line: every argv exits 0, 1 or 2, never with a traceback.
 
-A derandomized hypothesis search draws a subcommand and its options: good
+A seeded hypothesis search draws a subcommand and its options: good
 and bad `--param` forms, `--color-offset`/`--offset` values that are and are
 not integers, missing files, non-JSON and undecodable inputs, and a good
 layout document. `main(argv)` runs in this process and thread, as the
@@ -12,13 +12,14 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gridlay.cli import main
 from gridlay.flow import POST_PASSES
 
-FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# A fixed seed per property, not derandomize, so that editing a body keeps its draw.
+FUZZ = settings(max_examples=150, deadline=None, derandomize=False, database=None)
 
 PARAMS = (
     "bits=1", "bits=2", "bits=", "bits", "=2", "bits=0", "bits=99", "bits=-1", "bits=twelve",
@@ -105,6 +106,7 @@ def _other():
 
 
 @FUZZ
+@seed(21)
 @given(data=st.data())
 def test_cli_exits_0_1_or_2_without_traceback(files, data):
     argv = data.draw(st.one_of(_gen(files), _postprocess(files), _check(files), _other()))

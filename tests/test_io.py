@@ -487,6 +487,19 @@ def test_rebuild_tells_true_from_1_in_params(finfet):
         document_to_design(doc, finfet)
 
 
+def test_rebuild_rejects_params_on_a_native_instance(finfet):
+    """A native cell takes no parameters: the schema check names the key and
+    the instance carrying it."""
+    d = Design("nat", finfet)
+    d.instances += [generate(finfet.template("mos"), {"nf": 1}, finfet).at(Point(0, 0), Transform.R0),
+                    generate(finfet.template("dummy"), {}, finfet).at(Point(500, 0), Transform.R0)]
+    doc = read_layout_json(write_layout_json(d))
+    k = next(k for k, e in enumerate(doc.data["instances"]) if e["master"] == "dummy")
+    doc.data["instances"][k]["params"] = {"x": 1}
+    with pytest.raises(ValidationError, match=rf"^instances\[{k}\]: unknown parameter 'x'$"):
+        document_to_design(doc, finfet)
+
+
 def test_raw_rect_corners_come_in_either_order(finfet):
     # A raw rect's bbox is normalized on rebuild: one with its corners swapped
     # on x, y or both rebuilds and writes back like the ordered one.

@@ -3,7 +3,7 @@
 `LayoutDocument.to_bytes` lays the document out from one template per
 section entry. Whatever the design holds, its bytes must equal
 `json.dumps(data, indent=2, ensure_ascii=True)` plus a newline, and reading
-them back and writing again must give the same bytes. A derandomized
+them back and writing again must give the same bytes. A seeded
 hypothesis search builds designs in code whose design name, master names,
 params, nets and pin names carry quotes, backslashes, control characters and
 non-ASCII text.
@@ -12,7 +12,7 @@ non-ASCII text.
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from gridlay.design import Design, Pin, PlacedVia, Wire
@@ -22,7 +22,8 @@ from gridlay.grid import OneDimGrid, PlacementGrid, generate_routing_grid
 from gridlay.layoutjson import design_to_document, read_layout_json, write_layout_json
 from gridlay.template import SubElement, VirtualInstance
 
-PROPERTY = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+# A fixed seed per property, not derandomize, so that editing a body keeps its draw.
+PROPERTY = settings(max_examples=120, deadline=None, derandomize=False, database=None)
 
 TEXT = st.one_of(
     st.text(max_size=6),
@@ -87,6 +88,7 @@ def oracle(data: dict) -> bytes:
 
 
 @PROPERTY
+@seed(25)
 @given(case=designs)
 @example(case=EMPTY)
 @example(case=dict(EMPTY, masters=[("m", {"flag": True}), ("m", {"flag": 1})],

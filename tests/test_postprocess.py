@@ -156,7 +156,9 @@ def test_cut_soundness_randomized(finfet):
         assert check_spacing(d, "m1") == [], spans
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+# A fixed seed, not derandomize, so that editing the body keeps the draw.
+@settings(max_examples=80, deadline=None, derandomize=False, database=None)
+@seed(159)
 @given(
     spans=st.lists(st.tuples(st.integers(-200, 200), st.integers(1, 150), st.booleans()), max_size=2),
     low=st.integers(1, 150),

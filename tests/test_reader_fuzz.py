@@ -1,6 +1,6 @@
 """Fuzz both readers: damaged input fails with a LayoutError, never a traceback.
 
-A derandomized hypothesis search mutates a DAC-2 GDS stream (byte flips and
+A seeded hypothesis search mutates a DAC-2 GDS stream (byte flips and
 truncations) and a DAC-2 layout JSON (field deletions and type swaps in every
 section). Reading, and for JSON also rebuilding and writing the rebuilt
 design as JSON and GDS, either succeeds or raises a LayoutError subclass.
@@ -13,7 +13,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from gridlay import errors, layoutjson
@@ -22,7 +22,8 @@ from gridlay.flow import run_flow
 from gridlay.gds import read_library, write_gds
 from gridlay.layoutjson import document_to_design, read_layout_json, write_layout_json
 
-FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# A fixed seed per property, not derandomize, so that editing a body keeps its draw.
+FUZZ = settings(max_examples=100, deadline=None, derandomize=False, database=None)
 SECTIONS = ("instances", "wires", "vias", "pins", "rects")
 SWAPS = (None, True, 0, -1, 2.5, "R90", "", [], [0, 0, 0], {}, {"x": 1})
 
@@ -34,6 +35,7 @@ def dac2(finfet):
 
 
 @FUZZ
+@seed(25)
 @given(
     flips=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)), max_size=4),
     cut=st.one_of(st.none(), st.integers(0, 1 << 16)),
@@ -78,6 +80,7 @@ def mutate(doc: dict, where: str, k: int, f: int, swap: int | None) -> None:
 
 
 @FUZZ
+@seed(26)
 @given(mutations=st.lists(mutation, min_size=1, max_size=3))
 @example(mutations=[("pins", 0, 0, SWAPS.index(-1))])   # an integer pin name breaks the pin sort
 def test_layout_json_rebuild_fails_only_with_layout_errors(dac2, finfet, mutations):
@@ -111,6 +114,7 @@ def rebuild_error(doc: dict, tech) -> str:
 
 
 @FUZZ
+@seed(27)
 @given(
     section=st.sampled_from(sorted(READ)),
     damage=st.lists(st.tuples(st.integers(0, 1 << 10), st.integers(0, 8),

@@ -3,12 +3,11 @@ import json
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gridlay.errors import LayoutError, ParseError, UnknownLayer, ValidationError
 from gridlay.tech import BUNDLED_TECHS, load_tech, load_tech_file
-from gridlay.template import DynamicTemplate, NativeTemplate
 
 
 def fixture_text(name: str) -> str:
@@ -79,8 +78,8 @@ def test_schema_faithfulness(name):
 
 
 def test_templates_parsed(finfet):
-    assert isinstance(finfet.template("mos"), DynamicTemplate)
-    assert isinstance(finfet.template("scan_core"), NativeTemplate)
+    assert finfet.template("mos").kind == "mos"
+    assert finfet.template("scan_core").kind == "native"
     assert "sig" in finfet.grids
 
 
@@ -179,6 +178,9 @@ BAD_VALUES = [
     (("templates",), [], "tech.templates"),
     (("grids",), [], "tech.grids"),
     (("templates", "scan_core", "size"), "ab", "template scan_core.size"),
+    (("templates", "scan_core", "size", 0), -1, "template scan_core: negative size"),
+    (("templates", "scan_core", "pins", "scan_in", "rect"), [0, 80, 20, 201],
+     "template scan_core: pin scan_in outside bbox"),
     (("templates", "dummy", "geometry", 0, "rect"), ["0", "0", "9", "9"], "template dummy.rect"),
     (("templates", "dummy", "geometry", 0, "purpose"), "bogus", "template dummy"),
     (("layers", 0), 5, "layers[0]"),
@@ -191,8 +193,20 @@ BAD_VALUES = [
     (("templates", "mos", "params", "nf", "default"), "x", "template mos.params.nf.default"),
     (("templates", "mos", "params", "nf", "default"), True, "template mos.params.nf.default"),
     (("templates", "mos", "params", "vth", "default"), 1, "template mos.params.vth.default"),
+    # A param spec must agree with itself: its default passes its own checks,
+    # min is at most max, and each choice has the param's type.
+    (("templates", "mos", "params", "channel", "default"), "x",
+     "template mos.params.channel.default: 'channel' must be one of ['n', 'p']"),
+    (("templates", "tap", "params", "n", "default"), 0, "template tap.params.n.default: 'n' must be >= 1"),
+    (("templates", "decap", "params", "n", "default"), 65,
+     "template decap.params.n.default: 'n' must be <= 64"),
+    (("templates", "tap", "params", "n", "min"), 100,
+     "template tap.params.n.min: must be <= max 64, got 100"),
+    (("templates", "mos", "params", "channel", "choices"), ["n", 1],
+     "template mos.params.channel.choices[1]: must be a string, got 1"),
     (("templates", "mos", "params", "nf", "type"), "float", "template mos.params.nf.type"),
-    (("templates", "mos", "kind"), "foo", "template mos.kind"),
+    (("templates", "mos", "kind"), "foo",
+     "template mos.kind: must be one of ['native', 'mos', 'strip', 'scan_bit'], got 'foo'"),
     (("templates", "tap", "config"), [], "template tap.config"),
     (("templates", "mos", "config", "poly_pitch"), "x", "template mos.config.poly_pitch"),
     (("templates", "mos", "config", "pin_margin"), -1, "template mos.config.pin_margin"),
@@ -289,7 +303,8 @@ def test_undecodable_bytes_are_a_parse_error(tmp_path):
         load_tech_file(path)
 
 
-FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# A fixed seed, not derandomize, so that editing the body keeps the draw.
+FUZZ = settings(max_examples=300, deadline=None, derandomize=False, database=None)
 SWAPS = (None, True, 0, -1, 2.5, "bogus", "", [], [0, 0, 0], {}, {"x": 1})
 
 
@@ -324,6 +339,7 @@ def test_mutate_leaves_the_swap_values_unchanged():
 
 
 @FUZZ
+@seed(292)
 @given(
     name=st.sampled_from(BUNDLED_TECHS),
     mutations=st.lists(

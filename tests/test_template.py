@@ -66,6 +66,11 @@ def test_native_generation(finfet):
         generate(finfet.template("scan_core"), {"n": 1}, finfet)
 
 
+def test_native_template_takes_no_params(finfet):
+    with pytest.raises(BadParams, match=r"^unknown parameter 'x'$"):
+        generate(finfet.template("dummy"), {"x": 1}, finfet)
+
+
 def test_scan_bit_levelshift(finfet):
     plain = generate(finfet.template("scan_bit"), {"with_levelshift": False}, finfet)
     shifted = generate(finfet.template("scan_bit"), {"with_levelshift": True}, finfet)
