@@ -10,12 +10,12 @@ the cut-generation pass needs track identity; the rectangle is derived.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import DuplicatePin, MissingVia, NonRectilinear, UnknownLayer, UnknownWire
 from .geometry import Point, Rect, Transform
-from .grid import PlacementGrid, RoutingGrid, Track
+from .grid import PlacementGrid, RoutingGrid
 from .template import VirtualInstance
 
 if TYPE_CHECKING:
@@ -25,32 +25,46 @@ if TYPE_CHECKING:
 _COLOR_PURPOSE = {"A": "colorA", "B": "colorB"}  # wire color -> purpose of its shape
 
 
-@dataclass
 class Wire:
     """A routed segment in a track.
 
     `track` is the physical center coordinate on the axis perpendicular to
     the wire; `lo`/`hi` the extent along the wire. Pin wires are exempt from
     boundary cuts: their separation is handled one hierarchy level up.
+
+    The one mutable record: the passes extend, pin and color wires in place.
+    Wires compare field by field, are unhashable, and swap `lo`/`hi` into
+    order when built.
     """
 
-    layer: str
-    axis: str               # "h" or "v"
-    track: int
-    lo: int
-    hi: int
-    width: int
-    is_pin: bool = False
-    net: str | None = None
-    color: str | None = None
+    __slots__ = ("layer", "axis", "track", "lo", "hi", "width", "is_pin", "net", "color")
 
-    def __post_init__(self):
-        if self.axis not in ("h", "v"):
-            raise ValueError(f"bad wire axis {self.axis!r}")
-        if self.width <= 0:
+    def __init__(self, layer: str, axis: str, track: int, lo: int, hi: int, width: int,
+                 is_pin: bool = False, net: str | None = None, color: str | None = None):
+        if axis not in ("h", "v"):
+            raise ValueError(f"bad wire axis {axis!r}")
+        if width <= 0:
             raise ValueError("wire width must be positive")
-        if self.lo > self.hi:
-            self.lo, self.hi = self.hi, self.lo
+        if lo > hi:
+            lo, hi = hi, lo
+        self.layer = layer
+        self.axis = axis            # "h" or "v"
+        self.track = track
+        self.lo = lo
+        self.hi = hi
+        self.width = width
+        self.is_pin = is_pin
+        self.net = net
+        self.color = color
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _wire_items(self) == _wire_items(other)
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, _wire_items(self)))
+        return f"{type(self).__qualname__}({items})"
 
     @property
     def length(self) -> int:
@@ -65,14 +79,15 @@ class Wire:
         return c0, self.lo, c0 + self.width, self.hi
 
 
-@dataclass
-class PlacedVia:
+_wire_items = attrgetter(*Wire.__slots__)
+
+
+class PlacedVia(NamedTuple):
     via: str
     pos: Point
 
 
-@dataclass
-class Pin:
+class Pin(NamedTuple):
     """A labeled wire exposing a net to the parent hierarchy level."""
 
     name: str
@@ -118,10 +133,12 @@ class Design:
 
     def add_via(self, grid: RoutingGrid, xy: tuple[int, int]) -> PlacedVia:
         """Drop the grid's via at a track intersection."""
-        name = grid.viamap.get(xy[0], xy[1])
+        _, xgrid, ygrid, _, _, viamap = grid
+        i, j = xy
+        name = viamap.get(i, j)
         if name is None:
             raise MissingVia(f"no via at track intersection {xy}")
-        via = PlacedVia(name, Point(grid.xgrid.phys(xy[0]), grid.ygrid.phys(xy[1])))
+        via = PlacedVia(name, Point(xgrid.phys(i), ygrid.phys(j)))
         self.vias.append(via)
         return via
 
@@ -153,24 +170,26 @@ class Design:
             s2[0]: self.add_via(grid, s2[0]) for s1, s2 in zip(segs, segs[1:]) if s1[2] != s2[2]
         }
 
-        def reach(t: Track, axis: str, end: tuple[int, int]) -> int:
+        def reach(layer: str, width: int, axis: str, end: tuple[int, int]) -> int:
             # Square end cap at minimum; a via landing may need more.
             via = vias.get(end)
             if via is None:
-                return t.width // 2
-            pad = self.tech.vias[via.via].pad(t.layer)
-            return max(t.width // 2, -(pad.x0 if axis == "h" else pad.y0))
+                return width // 2
+            pad = self.tech.vias[via.via].pad(layer)
+            return max(width // 2, -(pad.x0 if axis == "h" else pad.y0))
 
+        _, xgrid, ygrid, xtracks, ytracks, _ = grid
         wires: list[Wire] = []
         for a, b, axis in segs:
             # i: the waypoint coordinate that runs along the wire
             if axis == "h":
-                t, track, along, i = grid.ytracks.get(a[1]), grid.ygrid.phys(a[1]), grid.xgrid, 0
+                t, track, along, i = ytracks.get(a[1]), ygrid.phys(a[1]), xgrid, 0
             else:
-                t, track, along, i = grid.xtracks.get(a[0]), grid.xgrid.phys(a[0]), grid.ygrid, 1
+                t, track, along, i = xtracks.get(a[0]), xgrid.phys(a[0]), ygrid, 1
+            layer, width, _ = t
             lo, hi = (a, b) if a[i] < b[i] else (b, a)
-            wire = Wire(t.layer, axis, track, along.phys(lo[i]) - reach(t, axis, lo),
-                        along.phys(hi[i]) + reach(t, axis, hi), t.width)
+            wire = Wire(layer, axis, track, along.phys(lo[i]) - reach(layer, width, axis, lo),
+                        along.phys(hi[i]) + reach(layer, width, axis, hi), width)
             wires.append(self.add_wire(wire))
         return wires
 
@@ -213,12 +232,12 @@ class Design:
         wires, vias (cut, lower pad, upper pad), pins, raw rects."""
         for w in self.wires:
             yield (w.layer, *w.box(), _COLOR_PURPOSE.get(w.color, "drawing"), "wire")
-        for via in self.vias:
-            x, y = via.pos.x, via.pos.y
-            for layer, x0, y0, x1, y1, purpose in self.tech.vias[via.via].rects:
+        vias = self.tech.vias
+        for name, (x, y) in self.vias:
+            for layer, x0, y0, x1, y1, purpose in vias[name].rects:
                 yield layer, x0 + x, y0 + y, x1 + x, y1 + y, purpose, "via"
-        for pin in self.pins:
-            yield (pin.wire.layer, *pin.wire.box(), "pin", "pin")
+        for _, _, wire in self.pins:
+            yield (wire.layer, *wire.box(), "pin", "pin")
         for r in self.rects:
             yield (*r, "raw")
 
@@ -226,8 +245,7 @@ class Design:
 # -- DRC-lite spacing check ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     layer: str
     a: Rect
     b: Rect

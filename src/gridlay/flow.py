@@ -10,7 +10,7 @@ Errors are re-raised annotated with the stage that produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .design import Design
 from .errors import FlowError, LayoutError
@@ -24,8 +24,7 @@ from .template import validate_params
 POST_PASSES = ("min-area", "cuts", "colors", "dummies")
 
 
-@dataclass
-class FlowFlags:
+class FlowFlags(NamedTuple):
     """Per-run switches: one per POST_PASSES name, `-` written `_`, plus the color offset."""
 
     min_area: bool = True

@@ -20,7 +20,7 @@ import functools
 import itertools
 import operator
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .design import Design
 from .errors import GdsOverflow, ParseError, ValidationError
@@ -104,37 +104,32 @@ def decode_real(b: bytes) -> float:
     return sign * m * 16.0 ** e / (1 << 56)
 
 
-@dataclass(frozen=True)
-class Boundary:
+class Boundary(NamedTuple):
     layer: int
     datatype: int
     xy: tuple[tuple[int, int], ...]  # closed loop, first point repeated last
 
 
-@dataclass(frozen=True)
-class Sref:
+class Sref(NamedTuple):
     sname: str
     pos: tuple[int, int]
     strans: int | None = None
     angle: float | None = None
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(NamedTuple):
     layer: int
     texttype: int
     pos: tuple[int, int]
     string: str
 
 
-@dataclass(frozen=True)
-class Structure:
+class Structure(NamedTuple):
     name: str
     elements: tuple = ()
 
 
-@dataclass(frozen=True)
-class Library:
+class Library(NamedTuple):
     name: str
     user_unit: float
     db_unit_m: float

@@ -10,9 +10,9 @@ here is immutable after construction.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
 
 from .errors import InfeasibleSpec, NotOnGrid, UnknownLayer
 from .geometry import Point, Rect
@@ -104,8 +104,7 @@ class CircularMappingArray:
 _OPS = ("<", "<=", "==", ">=", ">")
 
 
-@dataclass(frozen=True)
-class OneDimGrid:
+class OneDimGrid(namedtuple("OneDimGrid", "period coords")):
     """A periodic 1-D coordinate grid: `coords` repeated every `period` units.
 
     Abstract index i maps to period*floor(i/r) + coords[i mod r], r being the
@@ -113,28 +112,25 @@ class OneDimGrid:
     directions.
     """
 
-    period: int
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.period <= 0:
+    def __new__(cls, period: int, coords: tuple[int, ...]) -> "OneDimGrid":
+        if period <= 0:
             raise ValueError("grid period must be positive")
-        coords = tuple(self.coords)
+        coords = tuple(coords)
         if not coords:
             raise ValueError("grid needs at least one coordinate")
         if any(b <= a for a, b in zip(coords, coords[1:])):
             raise ValueError("grid coordinates must be strictly increasing")
-        if coords[0] < 0 or coords[-1] >= self.period:
+        if coords[0] < 0 or coords[-1] >= period:
             raise ValueError("grid coordinates must lie in [0, period)")
-        object.__setattr__(self, "coords", coords)
-
-    def __len__(self) -> int:
-        return len(self.coords)
+        return cls._make((period, coords))
 
     def phys(self, i: int) -> int:
         """Physical coordinate of abstract index i."""
-        r = len(self.coords)
-        return self.period * (i // r) + self.coords[i % r]
+        period, coords = self
+        r = len(coords)
+        return period * (i // r) + coords[i % r]
 
     def index_where(self, op: str, value: int) -> int:
         """Reverse mapping by conditional operator.
@@ -145,35 +141,35 @@ class OneDimGrid:
         """
         if op not in _OPS:
             raise ValueError(f"unknown operator {op!r}")
-        r = len(self.coords)
-        base, rem = divmod(value, self.period)
+        period, coords = self
+        r = len(coords)
+        base, rem = divmod(value, period)
         if op == ">=":
-            return base * r + bisect_left(self.coords, rem)
+            return base * r + bisect_left(coords, rem)
         if op == ">":
-            return base * r + bisect_right(self.coords, rem)
+            return base * r + bisect_right(coords, rem)
         if op == "<=":
-            return base * r + bisect_right(self.coords, rem) - 1
+            return base * r + bisect_right(coords, rem) - 1
         if op == "<":
-            return base * r + bisect_left(self.coords, rem) - 1
-        k = bisect_left(self.coords, rem)
-        if k == r or self.coords[k] != rem:
+            return base * r + bisect_left(coords, rem) - 1
+        k = bisect_left(coords, rem)
+        if k == r or coords[k] != rem:
             raise NotOnGrid(f"{value} is not on the grid")
         return base * r + k
 
 
-@dataclass(frozen=True)
-class PlacementGrid:
+class PlacementGrid(NamedTuple):
     """Independent x/y grids that instance origins snap to."""
 
     xgrid: OneDimGrid
     ygrid: OneDimGrid
 
     def phys(self, xy: tuple[int, int]) -> Point:
-        return Point(self.xgrid.phys(xy[0]), self.ygrid.phys(xy[1]))
+        xgrid, ygrid = self
+        return Point(xgrid.phys(xy[0]), ygrid.phys(xy[1]))
 
 
-@dataclass(frozen=True)
-class TrackSpec:
+class TrackSpec(namedtuple("TrackSpec", "layer kind wmul color")):
     """One track of a grid generation pattern.
 
     kind "signal" uses the layer's minimum width; kind "power" widens the
@@ -182,22 +178,20 @@ class TrackSpec:
     automatically.
     """
 
-    layer: str
-    kind: str = "signal"
-    wmul: int = 1
-    color: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("signal", "power"):
-            raise ValueError(f"unknown track kind {self.kind!r}")
-        if self.wmul < 1:
+    def __new__(cls, layer: str, kind: str = "signal", wmul: int = 1,
+                color: str | None = None) -> "TrackSpec":
+        if kind not in ("signal", "power"):
+            raise ValueError(f"unknown track kind {kind!r}")
+        if wmul < 1:
             raise ValueError("wmul must be >= 1")
-        if self.color not in (None, "A", "B", "none"):
-            raise ValueError(f"unknown color {self.color!r}")
+        if color not in (None, "A", "B", "none"):
+            raise ValueError(f"unknown color {color!r}")
+        return cls._make((layer, kind, wmul, color))
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Input parameters of routing-grid generation: one cycle of tracks per axis."""
 
     name: str
@@ -205,21 +199,18 @@ class GridSpec:
     ytracks: tuple[TrackSpec, ...]
 
 
-@dataclass(frozen=True)
-class Track:
+class Track(namedtuple("Track", "layer width color")):
     """One realized track: the layer, width and patterning color of its wires."""
 
-    layer: str
-    width: int
-    color: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.width <= 0:
+    def __new__(cls, layer: str, width: int, color: str | None = None) -> "Track":
+        if width <= 0:
             raise ValueError("track widths must be positive")
+        return cls._make((layer, width, color))
 
 
-@dataclass(frozen=True)
-class RoutingGrid:
+class RoutingGrid(namedtuple("RoutingGrid", "name xgrid ygrid xtracks ytracks viamap")):
     """Periodic x/y track grids with one Track record per coordinate.
 
     x tracks carry vertical wires, y tracks horizontal ones. viamap holds the
@@ -227,23 +218,19 @@ class RoutingGrid:
     where the layer pair has no via.
     """
 
-    name: str
-    xgrid: OneDimGrid
-    ygrid: OneDimGrid
-    xtracks: CircularMapping
-    ytracks: CircularMapping
-    viamap: CircularMappingArray
+    __slots__ = ()
 
-    def __post_init__(self):
-        shape = (len(self.xgrid), len(self.ygrid))
-        if (len(self.xtracks), len(self.ytracks)) != shape:
+    def __new__(cls, name: str, xgrid: OneDimGrid, ygrid: OneDimGrid, xtracks: CircularMapping,
+                ytracks: CircularMapping, viamap: CircularMappingArray) -> "RoutingGrid":
+        shape = (len(xgrid.coords), len(ygrid.coords))
+        if (len(xtracks), len(ytracks)) != shape:
             raise ValueError("track records do not match their axes")
-        if self.viamap.shape != shape:
+        if viamap.shape != shape:
             raise ValueError("viamap shape does not match the axes")
+        return cls._make((name, xgrid, ygrid, xtracks, ytracks, viamap))
 
 
-@dataclass(frozen=True)
-class IndexWindow:
+class IndexWindow(NamedTuple):
     """Inclusive abstract index ranges on both axes."""
 
     x0: int

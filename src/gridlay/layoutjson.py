@@ -10,10 +10,9 @@ what order they were built in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .design import Design, Pin, PlacedVia, Wire
 from .errors import (
@@ -48,8 +47,7 @@ SCHEMA_VERSION = 1
 _TRANSFORMS = {t.value: t for t in Transform}
 
 
-@dataclass(frozen=True)
-class LayoutDocument:
+class LayoutDocument(NamedTuple):
     """A parsed layout document; equality is deep equality of the content."""
 
     data: dict

@@ -10,10 +10,11 @@ is reproducible without a proprietary PDK.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     BOOL,
@@ -42,8 +43,7 @@ from .template import _KIND_BUILDERS, PARAM_KINDS, ParamSpec, Template, validate
 BUNDLED_TECHS = ("mock_planar", "mock_finfet")
 
 
-@dataclass(frozen=True)
-class CutRule:
+class CutRule(NamedTuple):
     """Cut-mask parameters of a routing layer.
 
     Wire ends closer than `spacing_threshold` are fabricated as one pattern
@@ -58,8 +58,7 @@ class CutRule:
     end_margin: int
 
 
-@dataclass(frozen=True)
-class LayerDef:
+class LayerDef(NamedTuple):
     name: str
     gds_layer: int
     gds_datatype: int
@@ -70,42 +69,33 @@ class LayerDef:
     cut: CutRule | None = None
 
 
-@dataclass(frozen=True)
-class ViaDef:
+class ViaDef(namedtuple("ViaDef", "name lower upper cut_layer cut_size enclosure")):
     """A cut between two routing layers with per-layer landing enclosures.
 
     `rects` holds the cut and the lower and upper landing pads relative to the
-    via center, built once here: a pad is the cut grown by its layer's
-    enclosure (0 for a layer without one) on every side.
+    via center, built on first use: a pad is the cut grown by its layer's
+    enclosure (0 for a layer without one) on every side. `_replace` makes a
+    new record, which builds its own.
     """
 
-    name: str
-    lower: str
-    upper: str
-    cut_layer: str
-    cut_size: tuple[int, int]
-    enclosure: Mapping[str, int]
-    rects: tuple[Rect, Rect, Rect] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        cw, ch = self.cut_size
+    @cached_property
+    def rects(self) -> tuple[Rect, Rect, Rect]:
+        _, lower, upper, cut_layer, (cw, ch), enclosure = self
         lo = Point(-(cw // 2), -(ch // 2))
         hi = lo + Point(cw, ch)
 
         def pad(layer: str) -> Rect:
-            e = self.enclosure.get(layer, 0)
+            e = enclosure.get(layer, 0)
             return Rect(layer, lo - Point(e, e), hi + Point(e, e))
 
-        rects = (Rect(self.cut_layer, lo, hi), pad(self.lower), pad(self.upper))
-        object.__setattr__(self, "rects", rects)
+        return Rect(cut_layer, lo, hi), pad(lower), pad(upper)
 
     def pad(self, layer: str) -> Rect:
         """The landing pad on `layer` (one of lower, upper), relative to the center."""
         return self.rects[1] if layer == self.lower else self.rects[2]
 
 
-@dataclass(frozen=True)
-class TechDB:
+class TechDB(NamedTuple):
     name: str
     unit_nm: int
     layers: Mapping[str, LayerDef]

@@ -10,7 +10,8 @@ bounding box, one transform, and one pin set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from .errors import (
@@ -47,8 +48,7 @@ if TYPE_CHECKING:
     from .tech import TechDB
 
 
-@dataclass(frozen=True)
-class PinDef:
+class PinDef(NamedTuple):
     """A pin shape in the owner's local frame, with its net label."""
 
     rect: Rect
@@ -71,8 +71,7 @@ def _parse_pins(d: dict, where: str, layer_name: Kind) -> dict[str, PinDef]:
     return pins
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     type: str  # "int" | "str" | "bool"
     default: Any = None
     choices: tuple | None = None
@@ -116,8 +115,7 @@ def param_tokens(params: Mapping[str, Any]) -> list[str]:
     return [f"{k}{int(v) if isinstance(v, bool) else v}" for k, v in sorted(params.items())]
 
 
-@dataclass(frozen=True)
-class SubElement:
+class SubElement(NamedTuple):
     """A geometry group placed inside a virtual instance.
 
     `offset` is the group origin relative to the instance origin, `transform`
@@ -130,8 +128,7 @@ class SubElement:
     master: str = ""
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """A generator definition loaded from technology data.
 
     `kind` selects one of the built-in builders; `config` carries the
@@ -150,8 +147,9 @@ def _inside(r: Rect, size: Point) -> bool:
     return 0 <= r.x0 and 0 <= r.y0 and r.x1 <= size.x and r.y1 <= size.y
 
 
-@dataclass(frozen=True)
-class VirtualInstance:
+class VirtualInstance(
+    namedtuple("VirtualInstance", "master params origin transform size subelements pins")
+):
     """A placed group of sub-elements abstracted as one instance.
 
     The declared size spans the local frame [0, size]; pins and sub-element
@@ -168,38 +166,39 @@ class VirtualInstance:
     transform) and each pin rect relative to the origin (key: (pin name,
     transform)), so placing a master many times transforms its sub-element
     rects only once and each placed row or pin is an addition of integers.
+    The cache lives in the instance `__dict__`, outside the tuple, so it takes
+    no part in equality, hashing or the repr; `_replace` starts a new one.
     """
 
-    master: str
-    params: Mapping[str, Any]
-    origin: Point
-    transform: Transform
-    size: Point
-    subelements: tuple[SubElement, ...]
-    pins: Mapping[str, PinDef]
-    _local: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __new__(cls, master: str, params: Mapping[str, Any], origin: Point, transform: Transform,
+                size: Point, subelements: tuple[SubElement, ...],
+                pins: Mapping[str, PinDef]) -> "VirtualInstance":
+        for pname, pin in pins.items():
+            if not _inside(pin.rect, size):
+                raise ValueError(f"instance {master}: pin {pname} outside bbox")
+        return cls._make((master, params, origin, transform, size, subelements, pins))
 
-    def __post_init__(self):
-        for pname, pin in self.pins.items():
-            if not _inside(pin.rect, self.size):
-                raise ValueError(f"instance {self.master}: pin {pname} outside bbox")
+    @cached_property
+    def _local(self) -> dict:
+        return {}
 
     def at(self, origin: Point, transform: Transform) -> "VirtualInstance":
         """Repositioned copy (instances are immutable).
 
-        The copy shares the geometry cache, and skips __post_init__: its
-        pins and size are the ones already checked.
+        The copy shares the geometry cache, and skips the pin check: its pins
+        and size are the ones already checked.
         """
-        copy = object.__new__(VirtualInstance)
-        copy.__dict__.update(self.__dict__, origin=origin, transform=transform)
+        master, params, _, _, size, subelements, pins = self
+        copy = self._make((master, params, origin, transform, size, subelements, pins))
+        copy._local = self._local
         return copy
 
     def anchor(self) -> tuple[int, int]:
         """Where the local origin lands, as (x, y): the origin, plus the size
         on each axis the transform flips (origin + 0.5*(I - M) * size)."""
-        sx, sy = _SIGNS[self.transform]
-        o, s = self.origin, self.size
-        return o.x + s.x if sx < 0 else o.x, o.y + s.y if sy < 0 else o.y
+        _, _, (ox, oy), transform, (w, h), _, _ = self
+        sx, sy = _SIGNS[transform]
+        return ox + w if sx < 0 else ox, oy + h if sy < 0 else oy
 
     def local_rows(self, transform: Transform) -> tuple[tuple, ...]:
         """Sub-element geometry under `transform`, relative to the anchor, as
@@ -234,17 +233,19 @@ class VirtualInstance:
 
     def pin_abs(self, name: str) -> Rect:
         """A pin rect transformed exactly like sub-element geometry."""
-        key = (name, self.transform)
-        local = self._local.get(key)
+        master, _, origin, transform, _, _, pins = self
+        cache = self._local
+        key = (name, transform)
+        local = cache.get(key)
         if local is None:
-            pin = self.pins.get(name)
+            pin = pins.get(name)
             if pin is None:
-                raise UnknownPin(f"{self.master} has no pin {name!r}")
+                raise UnknownPin(f"{master} has no pin {name!r}")
             # the transformed pin rect, shifted by the anchor's offset from the origin
             ax, ay = self.anchor()
-            local = self._local[key] = apply_rect(self.transform, pin.rect).translated(
-                Point(ax - self.origin.x, ay - self.origin.y))
-        return local.translated(self.origin)
+            local = cache[key] = apply_rect(transform, pin.rect).translated(
+                Point(ax - origin.x, ay - origin.y))
+        return local.translated(origin)
 
 
 def generate(tpl: Template, params: Mapping[str, Any], tech: "TechDB") -> VirtualInstance:

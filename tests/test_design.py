@@ -297,9 +297,7 @@ def test_run_flow_deterministic(finfet):
 
 
 def test_run_flow_errors_carry_stage(finfet):
-    import dataclasses
-
-    broken = dataclasses.replace(finfet, grids={})
+    broken = finfet._replace(grids={})
     with pytest.raises(FlowError) as err:
         run_flow("dac", {"bits": 1}, broken)
     assert err.value.stage == "grids"

@@ -105,7 +105,7 @@ def test_phys_monotone_and_periodic():
     g = OneDimGrid(100, (0, 40, 85))
     for i in range(-30, 30):
         assert g.phys(i + 1) > g.phys(i)
-        assert g.phys(i + len(g)) - g.phys(i) == g.period
+        assert g.phys(i + len(g.coords)) - g.phys(i) == g.period
 
 
 def test_grid_validation():
@@ -131,7 +131,7 @@ def test_index_where_examples():
 
 def linear_scan(g, op, value):
     """Oracle: walk indices far beyond the query and pick per the operator."""
-    span = 4 * len(g) + abs(value) // g.period * len(g) + 8 * len(g)
+    span = 4 * len(g.coords) + abs(value) // g.period * len(g.coords) + 8 * len(g.coords)
     indices = range(-span, span)
     if op == ">=":
         return min(i for i in indices if g.phys(i) >= value)
@@ -342,7 +342,7 @@ def test_track_spacing_invariant(gridtech):
                 tracks.append(TrackSpec(layer))
         spec = GridSpec("g", tuple(tracks), (TrackSpec("m2"),))
         g = generate_routing_grid(gridtech, spec, Rect("", Point(0, 0), Point(10 ** 7, 10 ** 7)))
-        n = len(g.xgrid)
+        n = len(g.xgrid.coords)
         s = gridtech.layer(layer).min_spacing
         for i in range(2 * n):
             c1, c2 = g.xgrid.phys(i), g.xgrid.phys(i + 1)

@@ -241,11 +241,9 @@ def test_extend_never_shrinks_and_meets_area(finfet):
 
 def test_extend_rounds_up_on_indivisible_area(finfet):
     # area 1200 with width 28 needs ceil(1200/28)=43: strictly above min_area
-    import dataclasses
-
     layers = dict(finfet.layers)
-    layers["m3"] = dataclasses.replace(layers["m3"], min_area=1200)
-    tech = dataclasses.replace(finfet, layers=layers)
+    layers["m3"] = layers["m3"]._replace(min_area=1200)
+    tech = finfet._replace(layers=layers)
     d = Design("t", tech)
     w = d.add_wire(Wire(layer="m3", axis="h", track=0, lo=0, hi=10, width=28))
     extend_min_area(d, "m3")
@@ -298,7 +296,7 @@ def test_adjacent_tracks_never_share_color(finfet):
     # strict alternation over two grid periods on the x axis
     d = colored_design(finfet)
     g = d.rgrid
-    n = len(g.xgrid)
+    n = len(g.xgrid.coords)
     for i in range(2 * n):
         assert g.xtracks.get(i).color != g.xtracks.get(i + 1).color
 

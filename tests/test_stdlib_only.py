@@ -7,12 +7,15 @@ test; this one reads the imports from the source instead of running them.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gridlay").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "gridlay").glob("*.py"))
 
 
 def absolute_imports(tree: ast.AST):
@@ -38,3 +41,15 @@ def test_module_imports_only_the_standard_library(path):
         if name != "gridlay" and name not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_import_generates_no_record_code():
+    """The records are tuple classes, so a fresh `import gridlay` loads neither
+    `dataclasses` nor the `inspect` it pulls in."""
+    code = ("import sys; before = set(sys.modules); import gridlay; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert "gridlay" in out
+    assert [m for m in ("dataclasses", "inspect") if m in out] == []
