@@ -10,8 +10,9 @@ the cut-generation pass needs track identity; the rectangle is derived.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DuplicatePin, MissingVia, NonRectilinear, UnknownLayer, UnknownWire
 from .geometry import Point, Rect, Transform
@@ -82,17 +83,16 @@ class Wire:
 _wire_items = attrgetter(*Wire.__slots__)
 
 
-class PlacedVia(NamedTuple):
-    via: str
-    pos: Point
+class PlacedVia(namedtuple("PlacedVia", "via pos")):
+    """A via definition's name placed with its center at the point `pos`."""
+
+    __slots__ = ()
 
 
-class Pin(NamedTuple):
+class Pin(namedtuple("Pin", "name net wire")):
     """A labeled wire exposing a net to the parent hierarchy level."""
 
-    name: str
-    net: str
-    wire: Wire
+    __slots__ = ()
 
 
 class Design:
@@ -245,11 +245,11 @@ class Design:
 # -- DRC-lite spacing check ---------------------------------------------------
 
 
-class Violation(NamedTuple):
-    layer: str
-    a: Rect
-    b: Rect
-    gap_sq: int
+class Violation(namedtuple("Violation", "layer a b gap_sq")):
+    """Two rects on `layer` closer than its minimum spacing; `gap_sq` is the
+    squared gap between them."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (

@@ -1,7 +1,8 @@
 """Exception types raised by the layout engine, and the field readers the
 tech and layout-JSON loaders check their input with."""
 
-from typing import Any, Callable, Iterator, NamedTuple
+from collections import namedtuple
+from typing import Iterator
 
 
 class LayoutError(Exception):
@@ -16,11 +17,10 @@ class ValidationError(LayoutError):
     """A parsed document violates the schema; the message names the field."""
 
 
-class Kind(NamedTuple):
+class Kind(namedtuple("Kind", "test what")):
     """What a JSON field must hold: a test for its value, and how errors say it."""
 
-    test: Callable[[Any], bool]
-    what: str
+    __slots__ = ()
 
 
 # JSON true/false are Python bools, which are ints: integer kinds test the exact type.

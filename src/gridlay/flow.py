@@ -10,7 +10,7 @@ Errors are re-raised annotated with the stage that produced them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .design import Design
 from .errors import FlowError, LayoutError
@@ -24,14 +24,11 @@ from .template import validate_params
 POST_PASSES = ("min-area", "cuts", "colors", "dummies")
 
 
-class FlowFlags(NamedTuple):
+class FlowFlags(namedtuple("FlowFlags", "min_area cuts colors dummies color_offset",
+                           defaults=(True, True, True, True, 0))):
     """Per-run switches: one per POST_PASSES name, `-` written `_`, plus the color offset."""
 
-    min_area: bool = True
-    cuts: bool = True
-    colors: bool = True
-    dummies: bool = True
-    color_offset: int = 0
+    __slots__ = ()
 
 
 def _stage(name, fn, *args):

@@ -20,7 +20,7 @@ import functools
 import itertools
 import operator
 import struct
-from typing import NamedTuple
+from collections import namedtuple
 
 from .design import Design
 from .errors import GdsOverflow, ParseError, ValidationError
@@ -104,36 +104,28 @@ def decode_real(b: bytes) -> float:
     return sign * m * 16.0 ** e / (1 << 56)
 
 
-class Boundary(NamedTuple):
-    layer: int
-    datatype: int
-    xy: tuple[tuple[int, int], ...]  # closed loop, first point repeated last
+class Boundary(namedtuple("Boundary", "layer datatype xy")):
+    """A polygon; `xy` is a closed loop of (x, y) pairs, its first point repeated last."""
+
+    __slots__ = ()
 
 
-class Sref(NamedTuple):
-    sname: str
-    pos: tuple[int, int]
-    strans: int | None = None
-    angle: float | None = None
+class Sref(namedtuple("Sref", "sname pos strans angle", defaults=(None, None))):
+    """A placement of the structure `sname` at `pos`, with its STRANS flags and angle."""
+
+    __slots__ = ()
 
 
-class Text(NamedTuple):
-    layer: int
-    texttype: int
-    pos: tuple[int, int]
-    string: str
+class Text(namedtuple("Text", "layer texttype pos string")):
+    __slots__ = ()
 
 
-class Structure(NamedTuple):
-    name: str
-    elements: tuple = ()
+class Structure(namedtuple("Structure", "name elements", defaults=((),))):
+    __slots__ = ()
 
 
-class Library(NamedTuple):
-    name: str
-    user_unit: float
-    db_unit_m: float
-    structures: tuple[Structure, ...] = ()
+class Library(namedtuple("Library", "name user_unit db_unit_m structures", defaults=((),))):
+    __slots__ = ()
 
 
 def _record(rtype: int, payload: bytes = b"") -> bytes:

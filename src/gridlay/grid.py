@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from itertools import accumulate
-from typing import TYPE_CHECKING, Any, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .errors import InfeasibleSpec, NotOnGrid, UnknownLayer
 from .geometry import Point, Rect
@@ -126,6 +126,10 @@ class OneDimGrid(namedtuple("OneDimGrid", "period coords")):
             raise ValueError("grid coordinates must lie in [0, period)")
         return cls._make((period, coords))
 
+    def _replace(self, **fields) -> "OneDimGrid":
+        """A copy with `fields` replaced, built and checked like a new record."""
+        return type(self)(**{**self._asdict(), **fields})
+
     def phys(self, i: int) -> int:
         """Physical coordinate of abstract index i."""
         period, coords = self
@@ -158,11 +162,10 @@ class OneDimGrid(namedtuple("OneDimGrid", "period coords")):
         return base * r + k
 
 
-class PlacementGrid(NamedTuple):
+class PlacementGrid(namedtuple("PlacementGrid", "xgrid ygrid")):
     """Independent x/y grids that instance origins snap to."""
 
-    xgrid: OneDimGrid
-    ygrid: OneDimGrid
+    __slots__ = ()
 
     def phys(self, xy: tuple[int, int]) -> Point:
         xgrid, ygrid = self
@@ -190,13 +193,15 @@ class TrackSpec(namedtuple("TrackSpec", "layer kind wmul color")):
             raise ValueError(f"unknown color {color!r}")
         return cls._make((layer, kind, wmul, color))
 
+    def _replace(self, **fields) -> "TrackSpec":
+        """A copy with `fields` replaced, built and checked like a new record."""
+        return type(self)(**{**self._asdict(), **fields})
 
-class GridSpec(NamedTuple):
-    """Input parameters of routing-grid generation: one cycle of tracks per axis."""
 
-    name: str
-    xtracks: tuple[TrackSpec, ...]
-    ytracks: tuple[TrackSpec, ...]
+class GridSpec(namedtuple("GridSpec", "name xtracks ytracks")):
+    """Input parameters of routing-grid generation: one cycle of TrackSpecs per axis."""
+
+    __slots__ = ()
 
 
 class Track(namedtuple("Track", "layer width color")):
@@ -208,6 +213,10 @@ class Track(namedtuple("Track", "layer width color")):
         if width <= 0:
             raise ValueError("track widths must be positive")
         return cls._make((layer, width, color))
+
+    def _replace(self, **fields) -> "Track":
+        """A copy with `fields` replaced, built and checked like a new record."""
+        return type(self)(**{**self._asdict(), **fields})
 
 
 class RoutingGrid(namedtuple("RoutingGrid", "name xgrid ygrid xtracks ytracks viamap")):
@@ -229,14 +238,15 @@ class RoutingGrid(namedtuple("RoutingGrid", "name xgrid ygrid xtracks ytracks vi
             raise ValueError("viamap shape does not match the axes")
         return cls._make((name, xgrid, ygrid, xtracks, ytracks, viamap))
 
+    def _replace(self, **fields) -> "RoutingGrid":
+        """A copy with `fields` replaced, built and checked like a new record."""
+        return type(self)(**{**self._asdict(), **fields})
 
-class IndexWindow(NamedTuple):
+
+class IndexWindow(namedtuple("IndexWindow", "x0 x1 y0 y1")):
     """Inclusive abstract index ranges on both axes."""
 
-    x0: int
-    x1: int
-    y0: int
-    y1: int
+    __slots__ = ()
 
 
 def overlap_range(g: RoutingGrid, a: Rect, b: Rect) -> IndexWindow | None:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from collections import namedtuple
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .design import Design, Pin, PlacedVia, Wire
 from .errors import (
@@ -47,10 +48,10 @@ SCHEMA_VERSION = 1
 _TRANSFORMS = {t.value: t for t in Transform}
 
 
-class LayoutDocument(NamedTuple):
+class LayoutDocument(namedtuple("LayoutDocument", "data")):
     """A parsed layout document; equality is deep equality of the content."""
 
-    data: dict
+    __slots__ = ()
 
     @property
     def design_name(self) -> str:

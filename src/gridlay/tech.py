@@ -14,7 +14,6 @@ from collections import namedtuple
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, NamedTuple
 
 from .errors import (
     BOOL,
@@ -43,7 +42,8 @@ from .template import _KIND_BUILDERS, PARAM_KINDS, ParamSpec, Template, validate
 BUNDLED_TECHS = ("mock_planar", "mock_finfet")
 
 
-class CutRule(NamedTuple):
+class CutRule(namedtuple("CutRule",
+                           "cut_layer cut_width cut_length spacing_threshold end_margin")):
     """Cut-mask parameters of a routing layer.
 
     Wire ends closer than `spacing_threshold` are fabricated as one pattern
@@ -51,22 +51,14 @@ class CutRule(NamedTuple):
     (across it); boundary cuts sit `end_margin` beyond a wire end.
     """
 
-    cut_layer: str
-    cut_width: int
-    cut_length: int
-    spacing_threshold: int
-    end_margin: int
+    __slots__ = ()
 
 
-class LayerDef(NamedTuple):
-    name: str
-    gds_layer: int
-    gds_datatype: int
-    min_width: int
-    min_spacing: int
-    min_area: int = 0
-    colorable: bool = False
-    cut: CutRule | None = None
+class LayerDef(namedtuple("LayerDef", "name gds_layer gds_datatype min_width min_spacing "
+                                       "min_area colorable cut", defaults=(0, False, None))):
+    """A layer's GDS number and rules; `cut` is its CutRule, if it has one."""
+
+    __slots__ = ()
 
 
 class ViaDef(namedtuple("ViaDef", "name lower upper cut_layer cut_size enclosure")):
@@ -95,13 +87,10 @@ class ViaDef(namedtuple("ViaDef", "name lower upper cut_layer cut_size enclosure
         return self.rects[1] if layer == self.lower else self.rects[2]
 
 
-class TechDB(NamedTuple):
-    name: str
-    unit_nm: int
-    layers: Mapping[str, LayerDef]
-    vias: Mapping[str, ViaDef]
-    templates: Mapping[str, Template]
-    grids: Mapping[str, GridSpec]
+class TechDB(namedtuple("TechDB", "name unit_nm layers vias templates grids")):
+    """A technology: its LayerDefs, ViaDefs, Templates and GridSpecs, each by name."""
+
+    __slots__ = ()
 
     def layer(self, name: str) -> LayerDef:
         rule = self.layers.get(name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .errors import (
     BOOL,
@@ -48,11 +48,10 @@ if TYPE_CHECKING:
     from .tech import TechDB
 
 
-class PinDef(NamedTuple):
+class PinDef(namedtuple("PinDef", "rect net", defaults=(None,))):
     """A pin shape in the owner's local frame, with its net label."""
 
-    rect: Rect
-    net: str | None = None
+    __slots__ = ()
 
 
 def _parse_rect(e: dict, where: str, layer_name: Kind) -> Rect:
@@ -71,12 +70,12 @@ def _parse_pins(d: dict, where: str, layer_name: Kind) -> dict[str, PinDef]:
     return pins
 
 
-class ParamSpec(NamedTuple):
-    type: str  # "int" | "str" | "bool"
-    default: Any = None
-    choices: tuple | None = None
-    min: int | None = None
-    max: int | None = None
+class ParamSpec(namedtuple("ParamSpec", "type default choices min max",
+                           defaults=(None, None, None, None))):
+    """A template parameter: its type ("int", "str" or "bool"), default,
+    allowed values and, for an int, its bounds."""
+
+    __slots__ = ()
 
 
 PARAM_KINDS = {"int": INT, "str": STR, "bool": BOOL}
@@ -115,20 +114,18 @@ def param_tokens(params: Mapping[str, Any]) -> list[str]:
     return [f"{k}{int(v) if isinstance(v, bool) else v}" for k, v in sorted(params.items())]
 
 
-class SubElement(NamedTuple):
+class SubElement(namedtuple("SubElement", "rects offset transform master",
+                             defaults=(Transform.R0, ""))):
     """A geometry group placed inside a virtual instance.
 
     `offset` is the group origin relative to the instance origin, `transform`
     the group's own orientation; `master` is a label for reporting only.
     """
 
-    rects: tuple[Rect, ...]
-    offset: Point
-    transform: Transform = Transform.R0
-    master: str = ""
+    __slots__ = ()
 
 
-class Template(NamedTuple):
+class Template(namedtuple("Template", "name kind schema config")):
     """A generator definition loaded from technology data.
 
     `kind` selects one of the built-in builders; `config` carries the
@@ -137,10 +134,7 @@ class Template(NamedTuple):
     function of (params, tech).
     """
 
-    name: str
-    kind: str
-    schema: Mapping[str, ParamSpec]
-    config: Mapping[str, Any]
+    __slots__ = ()
 
 
 def _inside(r: Rect, size: Point) -> bool:
@@ -177,6 +171,10 @@ class VirtualInstance(
             if not _inside(pin.rect, size):
                 raise ValueError(f"instance {master}: pin {pname} outside bbox")
         return cls._make((master, params, origin, transform, size, subelements, pins))
+
+    def _replace(self, **fields) -> "VirtualInstance":
+        """A copy with `fields` replaced, built and checked like a new record."""
+        return type(self)(**{**self._asdict(), **fields})
 
     @cached_property
     def _local(self) -> dict:
@@ -412,15 +410,19 @@ def _parse_strip_config(cfg: dict, where: str, layer_name: Kind) -> dict:
     return dict(cfg, cell_rects=rects, pins=pins)
 
 
-class KindDef(NamedTuple):
+class KindDef(namedtuple("KindDef", "build params config parse_config templates",
+                         defaults=(None, {}))):
     """A built-in kind, with what its builder reads so that the tech
-    loader can reject a template the builder would fail on."""
+    loader can reject a template the builder would fail on.
 
-    build: Callable                     # (template, params, tech) -> (size, subelements, pins)
-    params: dict[str, str]              # each param it reads -> its type
-    config: dict[str, Kind]             # each config key it reads -> what the key must hold
-    parse_config: Callable | None = None    # (config, where, layer kind) -> config, at load
-    templates: dict[str, tuple[str, ...]] = {}  # config key naming a native template -> pins read
+    build: (template, params, tech) -> (size, subelements, pins)
+    params: each param it reads -> its type
+    config: each config key it reads -> the Kind the key must hold
+    parse_config: (config, where, layer kind) -> config, run at load; or None
+    templates: each config key naming a native template -> the pins read
+    """
+
+    __slots__ = ()
 
 
 # The loader rejects any other kind, a schema without one of the params its

@@ -23,24 +23,22 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml")
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
 
 
-class Mutant(NamedTuple):
-    name: str
-    file: str      # relative to the repository root
-    old: str
-    new: str
-    tests: tuple[str, ...]
-
+# `file` is relative to the repository root; `tests` are pytest node ids.
+Mutant = namedtuple("Mutant", "name file old new tests")
 
 RECORDS = "tests/test_records.py::"
-CHECKS = RECORDS + "test_constructor_checks_name_their_fault"
+SHAPES = "tests/test_grid.py::test_routing_grid_validates_attribute_lengths"
+REPLACE = RECORDS + "test_replace_runs_the_constructor_checks"
+GRID = "tests/test_grid.py::test_grid_validation"
+TRACK_SPEC = "tests/test_grid.py::test_track_spec_rejects_bad_fields"
 
 
 def deleted(name: str, file: str, old: str, *tests: str) -> Mutant:
@@ -51,46 +49,61 @@ MUTANTS = [
     # -- the checks the record constructors run
     deleted("OneDimGrid: no period check", "src/gridlay/grid.py",
             '        if period <= 0:\n            raise ValueError("grid period must be positive")\n',
-            CHECKS + "[period]"),
+            GRID),
     deleted("OneDimGrid: no empty-coords check", "src/gridlay/grid.py",
             '        if not coords:\n'
             '            raise ValueError("grid needs at least one coordinate")\n',
-            CHECKS + "[no-coords]"),
+            GRID),
     deleted("OneDimGrid: no order check", "src/gridlay/grid.py",
             "        if any(b <= a for a, b in zip(coords, coords[1:])):\n"
             '            raise ValueError("grid coordinates must be strictly increasing")\n',
-            CHECKS + "[unordered]", "tests/test_grid.py::test_grid_validation"),
+            GRID),
     deleted("OneDimGrid: no range check", "src/gridlay/grid.py",
             "        if coords[0] < 0 or coords[-1] >= period:\n"
             '            raise ValueError("grid coordinates must lie in [0, period)")\n',
-            CHECKS + "[outside]", "tests/test_grid.py::test_grid_validation"),
+            GRID),
     deleted("TrackSpec: no kind check", "src/gridlay/grid.py",
             '        if kind not in ("signal", "power"):\n'
             '            raise ValueError(f"unknown track kind {kind!r}")\n',
-            CHECKS + "[kind]"),
+            TRACK_SPEC + "[fields0]"),
     deleted("TrackSpec: no wmul check", "src/gridlay/grid.py",
             '        if wmul < 1:\n            raise ValueError("wmul must be >= 1")\n',
-            CHECKS + "[wmul]"),
+            TRACK_SPEC + "[fields1]"),
     deleted("TrackSpec: no color check", "src/gridlay/grid.py",
             '        if color not in (None, "A", "B", "none"):\n'
             '            raise ValueError(f"unknown color {color!r}")\n',
-            CHECKS + "[color]"),
+            TRACK_SPEC + "[fields2]"),
     deleted("Track: no width check", "src/gridlay/grid.py",
             '        if width <= 0:\n            raise ValueError("track widths must be positive")\n',
-            CHECKS + "[width]", "tests/test_grid.py::test_track_rejects_zero_width"),
+            "tests/test_grid.py::test_track_rejects_zero_width"),
     deleted("RoutingGrid: no track-count check", "src/gridlay/grid.py",
             "        if (len(xtracks), len(ytracks)) != shape:\n"
             '            raise ValueError("track records do not match their axes")\n',
-            CHECKS + "[tracks]"),
+            SHAPES),
     deleted("RoutingGrid: no viamap-shape check", "src/gridlay/grid.py",
             "        if viamap.shape != shape:\n"
             '            raise ValueError("viamap shape does not match the axes")\n',
-            CHECKS + "[viamap]"),
+            SHAPES),
     deleted("VirtualInstance: pins may leave the bbox", "src/gridlay/template.py",
             "        for pname, pin in pins.items():\n"
             "            if not _inside(pin.rect, size):\n"
             '                raise ValueError(f"instance {master}: pin {pname} outside bbox")\n',
-            CHECKS + "[pin]", "tests/test_template.py::test_pins_must_lie_inside_bbox"),
+            "tests/test_template.py::test_pins_must_lie_inside_bbox"),
+    *(deleted(f"{cls}: _replace skips the checks", f"src/gridlay/{file}",
+              f"{made}\n\n"
+              f'    def _replace(self, **fields) -> "{cls}":\n'
+              '        """A copy with `fields` replaced, built and checked like a new record."""\n'
+              "        return type(self)(**{**self._asdict(), **fields})\n",
+              REPLACE + f"[{cls}]")
+      for cls, file, made in [
+          ("OneDimGrid", "grid.py", "        return cls._make((period, coords))"),
+          ("TrackSpec", "grid.py", "        return cls._make((layer, kind, wmul, color))"),
+          ("Track", "grid.py", "        return cls._make((layer, width, color))"),
+          ("RoutingGrid", "grid.py",
+           "        return cls._make((name, xgrid, ygrid, xtracks, ytracks, viamap))"),
+          ("VirtualInstance", "template.py",
+           "        return cls._make((master, params, origin, transform, size, subelements, pins))"),
+      ]),
     deleted("Wire: no axis check", "src/gridlay/design.py",
             '        if axis not in ("h", "v"):\n'
             '            raise ValueError(f"bad wire axis {axis!r}")\n',

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -109,13 +110,13 @@ def test_phys_monotone_and_periodic():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid period must be positive"):
         OneDimGrid(0, (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid needs at least one coordinate"):
         OneDimGrid(100, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="grid coordinates must be strictly increasing"):
         OneDimGrid(100, (0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("grid coordinates must lie in [0, period)")):
         OneDimGrid(100, (0, 100))
 
 
@@ -201,23 +202,31 @@ def make_grid():
 
 def test_routing_grid_validates_attribute_lengths():
     axis = OneDimGrid(100, (0, 40, 85))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="track records do not match their axes"):
         RoutingGrid(
             name="t", xgrid=axis, ygrid=axis,
             xtracks=CircularMapping([Track("m1", 20)] * 2),      # wrong length
             ytracks=CircularMapping([Track("m2", 30)] * 3),
             viamap=CircularMappingArray([[None] * 3] * 3),
         )
+    with pytest.raises(ValueError, match="viamap shape does not match the axes"):
+        RoutingGrid(
+            name="t", xgrid=axis, ygrid=axis,
+            xtracks=CircularMapping([Track("m1", 20)] * 3),
+            ytracks=CircularMapping([Track("m2", 30)] * 3),
+            viamap=CircularMappingArray([[None] * 2] * 3),       # wrong shape
+        )
 
 
 def test_track_rejects_zero_width():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="track widths must be positive"):
         Track("m1", 0)
 
 
 @pytest.mark.parametrize("fields", [{"kind": "pwr"}, {"wmul": 0}, {"color": "C"}])
 def test_track_spec_rejects_bad_fields(fields):
-    with pytest.raises(ValueError):
+    (name,) = fields  # the error names the field
+    with pytest.raises(ValueError, match=name):
         TrackSpec("m1", **fields)
 
 

@@ -3,7 +3,8 @@
 Every record class the package exports, and the GDS model, is a tuple
 subclass: it equals, hashes, unpacks and sorts like the tuple of its items,
 and none of its fields can be set. `_replace` builds a new record, so a value
-a record derives from its items (a via's pads) follows the new items. `Wire`
+a record derives from its items (a via's pads) follows the new items, and a
+record whose constructor checks its items checks the new ones too. `Wire`
 keeps the constructor, checks, field-wise equality, unhashability and repr
 text of a plain record class.
 """
@@ -99,36 +100,44 @@ def test_every_record_is_a_tuple_whose_fields_cannot_be_set(finfet):
                 setattr(obj, field, getattr(obj, field))
 
 
-def routing_grid(xtracks: int, viamap: tuple[int, int]) -> RoutingGrid:
+def routing_grid() -> RoutingGrid:
     axis = OneDimGrid(100, (0, 40, 85))
-    return RoutingGrid("t", axis, axis, CircularMapping([Track("m1", 20)] * xtracks),
+    return RoutingGrid("t", axis, axis, CircularMapping([Track("m1", 20)] * 3),
                        CircularMapping([Track("m2", 30)] * 3),
-                       CircularMappingArray([[None] * viamap[1]] * viamap[0]))
+                       CircularMappingArray([[None] * 3] * 3))
 
 
-# Each check a record runs when it is built, by the message of its error.
-CHECKS = {
-    "period": (lambda: OneDimGrid(0, (0,)), "grid period must be positive"),
-    "no-coords": (lambda: OneDimGrid(100, ()), "grid needs at least one coordinate"),
-    "unordered": (lambda: OneDimGrid(100, (0, 0)), "grid coordinates must be strictly increasing"),
-    "outside": (lambda: OneDimGrid(100, (0, 100)), "grid coordinates must lie in [0, period)"),
-    "kind": (lambda: TrackSpec("m1", kind="pwr"), "unknown track kind 'pwr'"),
-    "wmul": (lambda: TrackSpec("m1", wmul=0), "wmul must be >= 1"),
-    "color": (lambda: TrackSpec("m1", color="C"), "unknown color 'C'"),
-    "width": (lambda: Track("m1", 0), "track widths must be positive"),
-    "tracks": (lambda: routing_grid(2, (3, 3)), "track records do not match their axes"),
-    "viamap": (lambda: routing_grid(3, (3, 2)), "viamap shape does not match the axes"),
-    "pin": (lambda: VirtualInstance("t", {}, Point(0, 0), Transform.R0, Point(10, 10), (),
-                                    {"a": PinDef(Rect("m1", Point(5, 5), Point(15, 8), "pin"))}),
-            "instance t: pin a outside bbox"),
+def instance(size: Point) -> VirtualInstance:
+    pin = PinDef(Rect("m1", Point(5, 5), Point(15, 8), "pin"))
+    return VirtualInstance("t", {}, Point(0, 0), Transform.R0, size, (), {"a": pin})
+
+
+# A checked record, a `_replace` its constructor rejects, and the error.
+REPLACED = {
+    "OneDimGrid": (lambda: OneDimGrid(100, (0,))._replace(period=0),
+                   "grid period must be positive"),
+    "TrackSpec": (lambda: TrackSpec("m1")._replace(wmul=0), "wmul must be >= 1"),
+    "Track": (lambda: Track("m1", 20)._replace(width=0), "track widths must be positive"),
+    "RoutingGrid": (lambda: routing_grid()._replace(
+        xtracks=CircularMapping([Track("m1", 20)] * 2)), "track records do not match their axes"),
+    "VirtualInstance": (lambda: instance(Point(20, 20))._replace(size=Point(10, 10)),
+                        "instance t: pin a outside bbox"),
 }
 
 
-@pytest.mark.parametrize("check", CHECKS)
-def test_constructor_checks_name_their_fault(check):
-    build, message = CHECKS[check]
+@pytest.mark.parametrize("name", REPLACED)
+def test_replace_runs_the_constructor_checks(name):
+    build, message = REPLACED[name]
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_replace_builds_the_record_it_names():
+    assert OneDimGrid(100, (0,))._replace(period=50) == OneDimGrid(50, (0,))
+    vi = instance(Point(20, 20))
+    moved = vi._replace(origin=Point(5, 0))
+    assert moved == vi.at(Point(5, 0), Transform.R0)
+    assert moved._local is not vi._local  # a fresh cache, unlike at()
 
 
 def test_via_pads_follow_replace(finfet):

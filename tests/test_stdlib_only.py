@@ -45,8 +45,11 @@ def test_module_imports_only_the_standard_library(path):
 
 def test_import_generates_no_record_code():
     """The records are tuple classes, so a fresh `import gridlay` loads neither
-    `dataclasses` nor the `inspect` it pulls in."""
-    code = ("import sys; before = set(sys.modules); import gridlay; "
+    `dataclasses` nor the `inspect` it pulls in.
+
+    The baseline is taken after `importlib.resources`, which the tech loader
+    imports and which itself loads `inspect` on some Python versions."""
+    code = ("import sys, importlib.resources; before = set(sys.modules); import gridlay; "
             "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

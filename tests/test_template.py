@@ -239,7 +239,7 @@ def test_array_expansion(finfet):
 
 
 def test_pins_must_lie_inside_bbox():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="instance t: pin a outside bbox"):
         VirtualInstance(
             master="t", params={}, origin=Point(0, 0), transform=Transform.R0,
             size=Point(10, 10), subelements=(),
