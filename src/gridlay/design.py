@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DuplicatePin, MissingVia, NonRectilinear, UnknownLayer, UnknownWire
-from .geometry import Point, Rect, Transform
+from .geometry import Point, Rect, Transform, _tuple_new
 from .grid import PlacementGrid, RoutingGrid
 from .template import VirtualInstance
 
@@ -133,12 +133,14 @@ class Design:
 
     def add_via(self, grid: RoutingGrid, xy: tuple[int, int]) -> PlacedVia:
         """Drop the grid's via at a track intersection."""
-        _, xgrid, ygrid, _, _, viamap = grid
+        _, (xp, xc), (yp, yc), _, _, viamap = grid
         i, j = xy
         name = viamap.get(i, j)
         if name is None:
             raise MissingVia(f"no via at track intersection {xy}")
-        via = PlacedVia(name, Point(xgrid.phys(i), ygrid.phys(j)))
+        nx, ny = len(xc), len(yc)
+        pos = _tuple_new(Point, (xp * (i // nx) + xc[i % nx], yp * (j // ny) + yc[j % ny]))
+        via = _tuple_new(PlacedVia, (name, pos))
         self.vias.append(via)
         return via
 
@@ -151,46 +153,55 @@ class Design:
         """
         if len(waypoints) < 2:
             raise NonRectilinear("need at least two waypoints")
-        segs: list[tuple[tuple[int, int], tuple[int, int], str]] = []
-        for a, b in zip(waypoints, waypoints[1:]):
+        segs = []   # (axis, low end, high end) per segment, ends as waypoints
+        bends = []  # the waypoints where the direction changes, in path order
+        a = waypoints[0]
+        for b in waypoints[1:]:
             if a == b:
                 continue
             if a[1] == b[1]:
-                segs.append((a, b, "h"))
+                seg = ("h", a, b) if a[0] < b[0] else ("h", b, a)
             elif a[0] == b[0]:
-                segs.append((a, b, "v"))
+                seg = ("v", a, b) if a[1] < b[1] else ("v", b, a)
             else:
                 raise NonRectilinear(f"waypoints {a} and {b} share no row or column")
+            if segs and segs[-1][0] != seg[0]:
+                bends.append(a)
+            segs.append(seg)
+            a = b
         if not segs:
             raise NonRectilinear("path has zero length")
 
         # Consecutive segments on one axis share a row or column, so a track:
         # only a direction change can change the layer.
-        vias = {
-            s2[0]: self.add_via(grid, s2[0]) for s1, s2 in zip(segs, segs[1:]) if s1[2] != s2[2]
-        }
-
-        def reach(layer: str, width: int, axis: str, end: tuple[int, int]) -> int:
-            # Square end cap at minimum; a via landing may need more.
-            via = vias.get(end)
-            if via is None:
-                return width // 2
-            pad = self.tech.vias[via.via].pad(layer)
-            return max(width // 2, -(pad.x0 if axis == "h" else pad.y0))
-
-        _, xgrid, ygrid, xtracks, ytracks, _ = grid
+        vias = {}
+        for p in bends:
+            vias[p] = self.tech.vias[self.add_via(grid, p).via]
+        _, (xp, xc), (yp, yc), xtracks, ytracks, _ = grid
+        nx, ny = len(xc), len(yc)
         wires: list[Wire] = []
-        for a, b, axis in segs:
-            # i: the waypoint coordinate that runs along the wire
+        for axis, lo, hi in segs:
+            (i0, j0), (i1, j1) = lo, hi
             if axis == "h":
-                t, track, along, i = ytracks.get(a[1]), ygrid.phys(a[1]), xgrid, 0
+                layer, width, _ = ytracks.get(j0)
+                track = yp * (j0 // ny) + yc[j0 % ny]
+                c0, c1 = xp * (i0 // nx) + xc[i0 % nx], xp * (i1 // nx) + xc[i1 % nx]
             else:
-                t, track, along, i = xtracks.get(a[0]), xgrid.phys(a[0]), ygrid, 1
-            layer, width, _ = t
-            lo, hi = (a, b) if a[i] < b[i] else (b, a)
-            wire = Wire(layer, axis, track, along.phys(lo[i]) - reach(layer, width, axis, lo),
-                        along.phys(hi[i]) + reach(layer, width, axis, hi), width)
-            wires.append(self.add_wire(wire))
+                layer, width, _ = xtracks.get(i0)
+                track = xp * (i0 // nx) + xc[i0 % nx]
+                c0, c1 = yp * (j0 // ny) + yc[j0 % ny], yp * (j1 // ny) + yc[j1 % ny]
+            # Square end cap at minimum; a via landing may need more: the
+            # pad's extent below the via center, x0 along x or y0 along y.
+            r0 = r1 = width // 2
+            if vias:
+                k = 1 if axis == "h" else 2
+                if lo in vias:
+                    r0 = max(r0, -vias[lo].pad(layer)[k])
+                if hi in vias:
+                    r1 = max(r1, -vias[hi].pad(layer)[k])
+            wire = Wire(layer, axis, track, c0 - r0, c1 + r1, width)
+            self.wires.append(wire)
+            wires.append(wire)
         return wires
 
     def add_pin(self, name: str, net: str, wire: Wire) -> Pin:

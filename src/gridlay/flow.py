@@ -47,7 +47,9 @@ def run_pass(d: Design, name: str, color_offset: int = 0) -> None:
     if name == "dummies":
         box = d.instance_bbox() if "dummy" in d.tech.templates else None
         if box is not None:
-            _stage("postprocess[dummies]", fill_dummies, d, Rect("", box[0], box[1]))
+            (x0, y0), (x1, y1) = box  # ordered corners: the row needs no check
+            _stage("postprocess[dummies]", fill_dummies, d,
+                   Rect._make(("", x0, y0, x1, y1, "drawing")))
         return
     for layer, rule in d.tech.layers.items():
         if name == "min-area" and rule.min_area > 0:

@@ -158,15 +158,20 @@ def _boundary_struct(points: int) -> struct.Struct:
 _XY_ENDEL = struct.Struct(">HHii HH")  # an XY record of one point, then ENDEL
 
 
-def _sref(sname: str, pos: tuple[int, int], strans: int | None, angle: float | None) -> bytes:
-    """An SREF element; STRANS and ANGLE only when set."""
+def _sref_head(sname: str, strans: int | None, angle: float | None) -> bytes:
+    """An SREF element's records up to its XY; STRANS and ANGLE only when set."""
     out = [_record(SREF), _record(SNAME, _ascii(sname))]
     if strans is not None:
         out.append(_record(STRANS, struct.pack(">H", strans)))
     if angle is not None:
         out.append(_record(ANGLE, encode_real(angle)))
-    out.append(_XY_ENDEL.pack(12, XY, _coord(pos[0]), _coord(pos[1]), 4, ENDEL))
     return b"".join(out)
+
+
+def _sref(sname: str, pos: tuple[int, int], strans: int | None, angle: float | None) -> bytes:
+    """An SREF element; STRANS and ANGLE only when set."""
+    return _sref_head(sname, strans, angle) + _XY_ENDEL.pack(
+        12, XY, _coord(pos[0]), _coord(pos[1]), 4, ENDEL)
 
 
 def _text(layer: int, texttype: int, pos: tuple[int, int], string: str) -> bytes:
@@ -353,10 +358,17 @@ def write_gds(d: Design) -> bytes:
     """The design as a stream: one structure per instance master, holding
     its R0 geometry, in name order, then the design's own structure with its
     shapes, one SREF per instance and one TEXT per pin label."""
-    names = [master_struct_name(vi.master, vi.params) for vi in d.instances]
+    # One structure name per (master, params object), since the copies of a
+    # master share its params, and one SREF head per (structure, transform).
+    names: dict[tuple[str, int], str] = {}
     masters: dict[str, object] = {}
-    for sname, vi in zip(names, d.instances):
-        masters.setdefault(sname, vi)
+    srefs = []
+    for vi in d.instances:
+        sname = names.get((vi.master, id(vi.params)))
+        if sname is None:
+            sname = names[vi.master, id(vi.params)] = master_struct_name(vi.master, vi.params)
+            masters.setdefault(sname, vi)
+        srefs.append((sname, *vi.anchor(), vi.transform))
     structures = [
         (sname, _boundaries(d, masters[sname].local_rows(Transform.R0))) for sname in sorted(masters)
     ]
@@ -364,11 +376,13 @@ def write_gds(d: Design) -> bytes:
     top = _boundaries(d, d.own_rows())
     # The struct holds local R0 geometry; the stream transform acts before
     # translation, so the anchor shift keeps bboxes in place.
-    srefs = []
-    for sname, vi in zip(names, d.instances):
-        srefs.append((sname, *vi.anchor(), vi.transform))
     srefs.sort(key=lambda s: s[:3])
-    top += [_sref(sname, (x, y), *_TRANSFORM_GDS[t]) for sname, x, y, t in srefs]
+    heads: dict[tuple[str, Transform], bytes] = {}
+    for sname, x, y, t in srefs:
+        head = heads.get((sname, t))
+        if head is None:
+            head = heads[sname, t] = _sref_head(sname, *_TRANSFORM_GDS[t])
+        top.append(head + _XY_ENDEL.pack(12, XY, _coord(x), _coord(y), 4, ENDEL))
 
     texts = []
     for pin in d.pins:

@@ -16,6 +16,8 @@ from collections import namedtuple
 # patterning masks of a colorable layer.
 PURPOSES = ("drawing", "pin", "cut", "dummy", "colorA", "colorB")
 
+_tuple_new = tuple.__new__  # a tuple record from its items, without its own __new__
+
 
 class Point(namedtuple("Point", "x y")):
     """An integer (x, y) pair; `+` and `-` act on it as a vector."""
@@ -35,8 +37,12 @@ class Transform(enum.Enum):
     Each one is a diagonal sign matrix diag(sx, sy), so the set is closed
     under composition and forms a group isomorphic to Z2 x Z2.
     R90-family orientations are deliberately unsupported: row-based layout
-    styles never need them.
+    styles never need them. Members are singletons that compare by
+    identity, so they hash by identity too, in C rather than enum's Python
+    `__hash__`.
     """
+
+    __hash__ = object.__hash__
 
     R0 = "R0"
     MX = "MX"      # mirror about the x-axis (y sign flips)
@@ -89,11 +95,11 @@ class Rect(namedtuple("Row", "layer x0 y0 x1 y1 purpose")):
 
     @property
     def lo(self) -> Point:
-        return Point(self.x0, self.y0)
+        return _tuple_new(Point, self[1:3])
 
     @property
     def hi(self) -> Point:
-        return Point(self.x1, self.y1)
+        return _tuple_new(Point, self[3:5])
 
     @property
     def width(self) -> int:

@@ -39,6 +39,8 @@ SHAPES = "tests/test_grid.py::test_routing_grid_validates_attribute_lengths"
 REPLACE = RECORDS + "test_replace_runs_the_constructor_checks"
 GRID = "tests/test_grid.py::test_grid_validation"
 TRACK_SPEC = "tests/test_grid.py::test_track_spec_rejects_bad_fields"
+ROUTE_ORACLE = "tests/test_design.py::test_route_matches_oracle_on_random_paths"
+SREF_ALONE = "tests/test_io.py::test_each_sref_is_the_one_its_copy_gets_alone"
 
 
 def deleted(name: str, file: str, old: str, *tests: str) -> Mutant:
@@ -117,6 +119,31 @@ MUTANTS = [
     Mutant("ViaDef: pad enclosure off by one", "src/gridlay/tech.py",
            "            e = enclosure.get(layer, 0)\n", "            e = enclosure.get(layer, 0) + 1\n",
            ("tests/test_via_geometry.py::test_via_rects_match_the_rule",)),
+    # -- routing
+    Mutant("route: the low end's reach ignores the via", "src/gridlay/design.py",
+           "                if lo in vias:\n"
+           "                    r0 = max(r0, -vias[lo].pad(layer)[k])\n", "",
+           (ROUTE_ORACLE,)),
+    Mutant("route: a via at every joint, not only at direction changes", "src/gridlay/design.py",
+           "            if segs and segs[-1][0] != seg[0]:\n", "            if segs:\n",
+           (ROUTE_ORACLE,)),
+    # -- GDS instances
+    Mutant("write_gds: the SREF head keyed by structure name only", "src/gridlay/gds.py",
+           "        head = heads.get((sname, t))\n        if head is None:\n"
+           "            head = heads[sname, t] = ",
+           "        head = heads.get(sname)\n        if head is None:\n"
+           "            head = heads[sname] = ",
+           (SREF_ALONE,)),
+    Mutant("write_gds: the structure name keyed by master only", "src/gridlay/gds.py",
+           "        sname = names.get((vi.master, id(vi.params)))\n        if sname is None:\n"
+           "            sname = names[vi.master, id(vi.params)] = ",
+           "        sname = names.get(vi.master)\n        if sname is None:\n"
+           "            sname = names[vi.master] = ",
+           (SREF_ALONE,)),
+    Mutant("write_gds: the per-copy XY packed without _coord", "src/gridlay/gds.py",
+           "_XY_ENDEL.pack(12, XY, _coord(x), _coord(y), 4, ENDEL)",
+           "_XY_ENDEL.pack(12, XY, x, y, 4, ENDEL)",
+           ("tests/test_io.py::test_gds_overflow_past_either_end_of_32_bits",)),
     # -- the spacing checker
     Mutant("checker: cut suppression off", "src/gridlay/design.py",
            "        if not _cut_suppressed(shapes[i], shapes[j], cuts):\n", "        if True:\n",

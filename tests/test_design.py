@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gridlay.design import Design, Wire, check_all, check_spacing
 from gridlay.errors import (
@@ -166,6 +168,75 @@ def test_route_extends_for_via_landing():
     assert h.hi == g.xgrid.phys(3) + 12 + 4        # via end: cut/2 + enclosure
     assert v.lo == g.ygrid.phys(0) - 16
     assert v.hi == g.ygrid.phys(2) + 10
+
+
+def route_oracle(tech, grid, pts):
+    """The wires (layer, axis, track, lo, hi, width) and vias (via, pos) that
+    routing `pts` must give, from the grids' period/coords and the ViaDef
+    cut sizes and enclosures."""
+    def at(g, i):
+        q, r = divmod(i, len(g.coords))
+        return q * g.period + g.coords[r]
+
+    segs = [(a, b) for a, b in zip(pts, pts[1:]) if a != b]
+    axes = ["h" if a[1] == b[1] else "v" for a, b in segs]
+    bends = [segs[n][0] for n in range(1, len(segs)) if axes[n] != axes[n - 1]]
+    rows = grid.viamap.rows
+    names = {p: rows[p[0] % len(rows)][p[1] % len(rows[0])] for p in bends}
+    vias = [(names[p], (at(grid.xgrid, p[0]), at(grid.ygrid, p[1]))) for p in bends]
+    wires = []
+    for (a, b), axis in zip(segs, axes):
+        k = 0 if axis == "h" else 1  # the waypoint coordinate along the wire
+        along, across = (grid.xgrid, grid.ygrid) if axis == "h" else (grid.ygrid, grid.xgrid)
+        tracks = (grid.ytracks if axis == "h" else grid.xtracks).elements
+        layer, width, _ = tracks[a[1 - k] % len(tracks)]
+
+        def reach(p):
+            # half the width; at a via, at least the pad's half extent
+            if p not in names:
+                return width // 2
+            via = tech.vias[names[p]]
+            return max(width // 2, via.cut_size[k] // 2 + via.enclosure.get(layer, 0))
+
+        lo, hi = sorted((a, b), key=lambda p: p[k])
+        wires.append((layer, axis, at(across, a[1 - k]), at(along, lo[k]) - reach(lo),
+                      at(along, hi[k]) + reach(hi), width))
+    return wires, vias
+
+
+@st.composite
+def rectilinear_paths(draw):
+    """Paths of 2-9 waypoints, each one step along x or y from the last: a
+    zero step repeats a point, a step against the last one backtracks."""
+    pts = [(draw(st.integers(-6, 6)), draw(st.integers(-6, 6)))]
+    for axis in draw(st.lists(st.sampled_from("hv"), min_size=1, max_size=8)):
+        x, y = pts[-1]
+        step = draw(st.integers(-3, 3))
+        pts.append((x + step, y) if axis == "h" else (x, y + step))
+    return pts
+
+
+# A fixed seed, not derandomize, so that editing the body keeps the draw.
+@settings(max_examples=150, deadline=None, derandomize=False, database=None)
+@seed(146)
+@given(pts=rectilinear_paths())
+@pytest.mark.parametrize("tech_name", ["mock_finfet", "landtech"])
+def test_route_matches_oracle_on_random_paths(finfet, tech_name, pts):
+    from gridlay.tech import load_tech
+
+    tech = finfet if tech_name == "mock_finfet" else load_tech(LAND_TECH)
+    g = generate_routing_grid(tech, tech.grid_spec("sig" if tech is finfet else "g"), BIG)
+    want_wires, want_vias = route_oracle(tech, g, pts)
+    d = Design("t", tech)
+    if not want_wires:
+        with pytest.raises(NonRectilinear, match="path has zero length"):
+            d.route(g, pts)
+        assert d.wires == [] and d.vias == []
+        return
+    wires = d.route(g, pts)
+    assert wires == d.wires
+    assert [(w.layer, w.axis, w.track, w.lo, w.hi, w.width) for w in wires] == want_wires
+    assert [(v.via, tuple(v.pos)) for v in d.vias] == want_vias
 
 
 # -- pins -----------------------------------------------------------------------

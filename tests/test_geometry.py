@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -147,6 +149,26 @@ def test_rect_is_its_flat_row(finfet):
     [v] = check_all(d)
     assert (v.a, v.b, v.gap_sq) == (a, b, 100)
     assert str(v) == "m1: spacing violation between (1000,1000,1040,1040) and (1050,1000,1090,1040)"
+
+
+def test_transform_members_are_keys_and_survive_copies():
+    # members hash by identity: each is found in dicts and sets, and every
+    # copy of a member is the member itself
+    table = {t: t.value for t in ALL}
+    for t in ALL:
+        assert table[Transform(t.value)] == t.value and t in set(ALL)
+        assert (t.value, t) in {(u.value, u) for u in ALL}
+        assert pickle.loads(pickle.dumps(t)) is t
+        assert copy.deepcopy(t) is t and copy.copy(t) is t
+        assert copy.deepcopy({t: [t]}) == {t: [t]}
+
+
+def test_rect_corners_are_points():
+    r = Rect._make(("m1", 1, 2, 5, 6, "drawing"))
+    for corner, want in ((r.lo, Point(1, 2)), (r.hi, Point(5, 6))):
+        assert type(corner) is Point and corner == want
+        assert (corner.x, corner.y) == tuple(want)
+    assert r.lo + r.hi == Point(6, 8) and r.hi - r.lo == Point(4, 4)
 
 
 def test_rect_rejects_unknown_purpose():

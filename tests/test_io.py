@@ -98,11 +98,33 @@ def test_single_rect_boundary(finfet):
     assert b.xy == ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
 
 
-def place_one(finfet, transform):
+def place_one(finfet, transform, vi=None, origin=Point(100, 200)):
     d = Design("inst", finfet)
-    vi = generate(finfet.template("mos"), {}, finfet)
-    d.instances.append(vi.at(Point(100, 200), transform))
+    vi = vi if vi is not None else generate(finfet.template("mos"), {}, finfet)
+    d.instances.append(vi.at(origin, transform))
     return d
+
+
+def sref_items(data: bytes) -> list[tuple]:
+    return [(e.sname, e.strans, e.angle, e.pos) for s in read_library(data).structures
+            for e in s.elements if isinstance(e, Sref)]
+
+
+def test_each_sref_is_the_one_its_copy_gets_alone(finfet):
+    # copies of two mos params, each in all four transforms, interleaved:
+    # a structure name or SREF head shared too widely shows up as a copy
+    # whose SREF differs from the one written for it alone
+    masters = [generate(finfet.template("mos"), {"nf": nf}, finfet) for nf in (1, 2)]
+    copies = [(vi, t, Point(1000 * n, 3000 * k)) for n, t in enumerate(Transform)
+              for k, vi in enumerate(masters)]
+    d = Design("inst", finfet)
+    d.instances += [vi.at(origin, t) for vi, t, origin in copies]
+    got = sref_items(write_gds(d))
+    want = [item for vi, t, origin in copies
+            for item in sref_items(write_gds(place_one(finfet, t, vi, origin)))]
+    assert len(want) == 8 and len({item[0] for item in want}) == 2
+    assert len({item[1:3] for item in want}) == 4
+    assert got == sorted(want, key=lambda item: (item[0], *item[3]))
 
 
 def test_sref_transform_mapping(finfet):
@@ -228,15 +250,19 @@ def test_gds_overflow(finfet):
 
 
 @pytest.mark.parametrize("v", [2 ** 31, -2 ** 31 - 1])
-@pytest.mark.parametrize("where", ["top", "master"])
+@pytest.mark.parametrize("where", ["top", "master", "sref"])
 def test_gds_overflow_past_either_end_of_32_bits(finfet, v, where):
     d = Design("big", finfet)
     box = Rect("m1", Point(0, 0), Point(v, 10))
     if where == "top":
         d.rects.append(box)
-    else:  # a master's geometry; its SREF sits at the origin
+    elif where == "master":  # a master's geometry; its SREF sits at the origin
         sub = SubElement((box,), Point(0, 0))
         d.instances.append(VirtualInstance("big", {}, Point(0, 0), Transform.R0, Point(10, 10),
+                                           (sub,), {}))
+    else:  # a small master whose SREF anchor lies at x = v
+        sub = SubElement((Rect("m1", Point(0, 0), Point(10, 10)),), Point(0, 0))
+        d.instances.append(VirtualInstance("big", {}, Point(v, 0), Transform.R0, Point(10, 10),
                                            (sub,), {}))
     with pytest.raises(GdsOverflow, match=f"coordinate {v} exceeds"):
         write_gds(d)
