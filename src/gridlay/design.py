@@ -15,15 +15,12 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DuplicatePin, MissingVia, NonRectilinear, UnknownLayer, UnknownWire
-from .geometry import Point, Rect, Transform, _tuple_new
+from .geometry import MASKS, Point, Rect, Transform, _tuple_new
 from .grid import PlacementGrid, RoutingGrid
 from .template import VirtualInstance
 
 if TYPE_CHECKING:
     from .tech import LayerDef, TechDB
-
-
-_COLOR_PURPOSE = {"A": "colorA", "B": "colorB"}  # wire color -> purpose of its shape
 
 
 class Wire:
@@ -174,6 +171,9 @@ class Design:
 
         # Consecutive segments on one axis share a row or column, so a track:
         # only a direction change can change the layer.
+        for p in bends:  # check every via before placing any
+            if grid.viamap.get(*p) is None:
+                raise MissingVia(f"no via at track intersection {p}")
         vias = {}
         for p in bends:
             vias[p] = self.tech.vias[self.add_via(grid, p).via]
@@ -242,7 +242,7 @@ class Design:
         """The design's own shapes as flat rows, without instance geometry:
         wires, vias (cut, lower pad, upper pad), pins, raw rects."""
         for w in self.wires:
-            yield (w.layer, *w.box(), _COLOR_PURPOSE.get(w.color, "drawing"), "wire")
+            yield (w.layer, *w.box(), MASKS.get(w.color, "drawing"), "wire")
         vias = self.tech.vias
         for name, (x, y) in self.vias:
             for layer, x0, y0, x1, y1, purpose in vias[name].rects:

@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .design import Design
 from .errors import GdsOverflow, ParseError, ValidationError
-from .geometry import Transform
+from .geometry import DATATYPE_OFFSET, Transform
 from .tech import LayerDef
 from .template import param_tokens
 
@@ -56,12 +56,9 @@ DB_UNIT_M = 1e-9   # database unit in meters
 
 REFLECT = 0x8000
 
-_PURPOSE_DT_OFFSET = {"drawing": 0, "pin": 1, "colorA": 2, "colorB": 3, "dummy": 4, "cut": 0}
-
-
 def gds_datatype(layer: LayerDef, purpose: str) -> int:
     """The datatype a shape of this purpose is written with on this layer."""
-    return layer.gds_datatype + _PURPOSE_DT_OFFSET[purpose]
+    return layer.gds_datatype + DATATYPE_OFFSET[purpose]
 
 
 # Orientation -> (strans, angle); None means the record is omitted.

@@ -10,13 +10,19 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-# Rectangle purposes. "drawing" is plain geometry; "pin" marks label shapes
-# (exported on datatype+1 and skipped by the spacing checker); "cut" marks
-# cut-mask shapes; "dummy" marks fill geometry; colorA/colorB are the two
-# patterning masks of a colorable layer.
-PURPOSES = ("drawing", "pin", "cut", "dummy", "colorA", "colorB")
+# The patterning masks in alternation order -> the purpose of their shapes.
+MASKS = {"A": "colorA", "B": "colorB"}
+# Purpose -> GDS datatype offset on the layer's base datatype. The spacing
+# checker skips "pin" shapes; "cut" shapes are drawn on their cut layer.
+DATATYPE_OFFSET = {"drawing": 0, "pin": 1, "cut": 0, "dummy": 4, "colorA": 2, "colorB": 3}
+PURPOSES = tuple(DATATYPE_OFFSET)
 
 _tuple_new = tuple.__new__  # a tuple record from its items, without its own __new__
+
+
+def _checked_replace(self, **fields):
+    """A copy with `fields` replaced, built and checked like a new record."""
+    return type(self)(**{**self._asdict(), **fields})
 
 
 class Point(namedtuple("Point", "x y")):

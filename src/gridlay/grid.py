@@ -14,11 +14,11 @@ from collections import namedtuple
 from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .errors import InfeasibleSpec, NotOnGrid, UnknownLayer
-from .geometry import Point, Rect
+from .errors import InfeasibleSpec, NotOnGrid, UnknownLayer, ValidationError
+from .geometry import MASKS, Point, Rect, _checked_replace
 
 if TYPE_CHECKING:
-    from .tech import TechDB
+    from .tech import LayerDef, TechDB
 
 
 class CircularMapping:
@@ -102,6 +102,7 @@ class CircularMappingArray:
 
 
 _OPS = ("<", "<=", "==", ">=", ">")
+TRACK_COLORS = (*MASKS, "none", None)  # a TrackSpec color; None alternates automatically
 
 
 class OneDimGrid(namedtuple("OneDimGrid", "period coords")):
@@ -126,9 +127,7 @@ class OneDimGrid(namedtuple("OneDimGrid", "period coords")):
             raise ValueError("grid coordinates must lie in [0, period)")
         return cls._make((period, coords))
 
-    def _replace(self, **fields) -> "OneDimGrid":
-        """A copy with `fields` replaced, built and checked like a new record."""
-        return type(self)(**{**self._asdict(), **fields})
+    _replace = _checked_replace
 
     def phys(self, i: int) -> int:
         """Physical coordinate of abstract index i."""
@@ -189,13 +188,11 @@ class TrackSpec(namedtuple("TrackSpec", "layer kind wmul color")):
             raise ValueError(f"unknown track kind {kind!r}")
         if wmul < 1:
             raise ValueError("wmul must be >= 1")
-        if color not in (None, "A", "B", "none"):
+        if color not in TRACK_COLORS:
             raise ValueError(f"unknown color {color!r}")
         return cls._make((layer, kind, wmul, color))
 
-    def _replace(self, **fields) -> "TrackSpec":
-        """A copy with `fields` replaced, built and checked like a new record."""
-        return type(self)(**{**self._asdict(), **fields})
+    _replace = _checked_replace
 
 
 class GridSpec(namedtuple("GridSpec", "name xtracks ytracks")):
@@ -214,9 +211,7 @@ class Track(namedtuple("Track", "layer width color")):
             raise ValueError("track widths must be positive")
         return cls._make((layer, width, color))
 
-    def _replace(self, **fields) -> "Track":
-        """A copy with `fields` replaced, built and checked like a new record."""
-        return type(self)(**{**self._asdict(), **fields})
+    _replace = _checked_replace
 
 
 class RoutingGrid(namedtuple("RoutingGrid", "name xgrid ygrid xtracks ytracks viamap")):
@@ -238,9 +233,7 @@ class RoutingGrid(namedtuple("RoutingGrid", "name xgrid ygrid xtracks ytracks vi
             raise ValueError("viamap shape does not match the axes")
         return cls._make((name, xgrid, ygrid, xtracks, ytracks, viamap))
 
-    def _replace(self, **fields) -> "RoutingGrid":
-        """A copy with `fields` replaced, built and checked like a new record."""
-        return type(self)(**{**self._asdict(), **fields})
+    _replace = _checked_replace
 
 
 class IndexWindow(namedtuple("IndexWindow", "x0 x1 y0 y1")):
@@ -282,6 +275,28 @@ def _landing_pitch(tech: "TechDB", layer: str, horizontal: bool) -> int:
     return best
 
 
+def track_colors(specs: Sequence[TrackSpec], layers: dict[str, LayerDef]) -> list[str | None]:
+    """Each track's mask (None if uncolored): as pinned, or its layer's next in turn."""
+    masks, turn, colors = tuple(MASKS), {}, []  # turn: layer -> its colored tracks so far
+    for t in specs:
+        if t.color == "none" or not layers[t.layer].colorable:
+            colors.append(None)
+        else:
+            colors.append(t.color or masks[turn.get(t.layer, 0) % len(masks)])
+            turn[t.layer] = turn.get(t.layer, 0) + 1
+    return colors
+
+
+def check_alternation(where: str, specs: Sequence[TrackSpec], layers: dict[str, LayerDef]) -> None:
+    """Refuse an axis where one layer's colored tracks do not alternate masks, wrap included."""
+    colors = track_colors(specs, layers)
+    for layer in dict.fromkeys(t.layer for t in specs):
+        cs = [c for t, c in zip(specs, colors) if t.layer == layer and c is not None]
+        if any(a == b for a, b in zip(cs, cs[1:] + cs[:1])):
+            raise ValidationError(f"{where}: the colored tracks of layer {layer!r} must "
+                                  f"alternate masks across the period wrap, got {cs}")
+
+
 def _build_axis(
     tech: "TechDB", specs: tuple[TrackSpec, ...], horizontal: bool
 ) -> tuple[OneDimGrid, list[Track]]:
@@ -289,15 +304,11 @@ def _build_axis(
         raise InfeasibleSpec("empty track pattern")
     pitches: list[int] = []
     tracks: list[Track] = []
-    for k, t in enumerate(specs):
+    for t, color in zip(specs, track_colors(specs, tech.layers)):
         rule = tech.layer(t.layer)
         width = rule.min_width * (t.wmul if t.kind == "power" else 1)
         pitch = max(width + rule.min_spacing, _landing_pitch(tech, t.layer, horizontal))
         pitches.append(pitch + pitch % 2)  # keep slot centers integral
-        if not rule.colorable or t.color == "none":
-            color = None
-        else:
-            color = t.color or "AB"[k % 2]
         tracks.append(Track(t.layer, width, color))
     # Center each track in its pitch slot, then shift the pattern so the
     # first track sits at coordinate 0.
@@ -313,7 +324,8 @@ def generate_routing_grid(tech: "TechDB", spec: GridSpec, region: Rect) -> Routi
     track; the grid period is one full cycle of the pattern; tracks are
     centered in their pitch slots with the first track normalized to 0. The
     result is anchored at the global origin and extends periodically, so the
-    region only bounds feasibility (the cycle must fit inside it).
+    region only bounds feasibility (the cycle must fit inside it). Colors come
+    from `track_colors`, unchecked: the tech loader refuses what cannot alternate.
     """
     for t in spec.xtracks + spec.ytracks:
         if t.layer not in tech.layers:

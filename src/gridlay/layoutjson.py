@@ -39,7 +39,7 @@ from .errors import (
     read_section,
 )
 from .gds import gds_datatype
-from .geometry import PURPOSES, Point, Rect, Transform
+from .geometry import MASKS, PURPOSES, Point, Rect, Transform
 from .grid import OneDimGrid, PlacementGrid, generate_routing_grid
 from .tech import TechDB
 from .template import VirtualInstance, generate
@@ -370,7 +370,7 @@ def document_to_design(doc: LayoutDocument, tech: TechDB) -> Design:
 
     fields = (("layer", layer), ("axis", one_of("h", "v")), ("track", INT), ("lo", INT),
               ("hi", INT), ("width", POS_INT), ("is_pin", BOOL), ("net", or_null(STR)),
-              ("color", one_of("A", "B", None)))
+              ("color", one_of(*MASKS, None)))
     colorable = {name for name, rule in tech.layers.items() if rule.colorable}
     for k, row in enumerate(read_section(data["wires"], fields, "wires")):
         w = Wire(*row)

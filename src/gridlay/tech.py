@@ -36,7 +36,7 @@ from .errors import (
     read,
 )
 from .geometry import Point, Rect
-from .grid import GridSpec, TrackSpec
+from .grid import TRACK_COLORS, GridSpec, TrackSpec, check_alternation
 from .template import _KIND_BUILDERS, PARAM_KINDS, ParamSpec, Template, validate_params
 
 BUNDLED_TECHS = ("mock_planar", "mock_finfet")
@@ -229,7 +229,7 @@ def _check_template_refs(templates: dict) -> None:
                     raise ValidationError(f"{at}: template {ref.name} has no pin {pin!r}")
 
 
-def _parse_grid(name: str, d: dict, layer_name: Kind) -> GridSpec:
+def _parse_grid(name: str, d: dict, layer_name: Kind, layers: dict) -> GridSpec:
     where = f"grid {name}"
 
     def tracks(key: str) -> tuple[TrackSpec, ...]:
@@ -240,8 +240,9 @@ def _parse_grid(name: str, d: dict, layer_name: Kind) -> GridSpec:
                 read(t, "layer", layer_name, at),
                 read(t, "kind", one_of("signal", "power"), at, default="signal"),
                 read(t, "wmul", POS_INT, at, default=1),
-                read(t, "color", one_of("A", "B", "none", None), at, default=None),
+                read(t, "color", one_of(*TRACK_COLORS), at, default=None),
             ))
+        check_alternation(f"{where}.{key}", out, layers)
         return tuple(out)
 
     return GridSpec(name, tracks("xtracks"), tracks("ytracks"))
@@ -288,7 +289,7 @@ def load_tech(text: str | bytes) -> TechDB:
     }
     _check_template_refs(templates)
     grids = {
-        gname: _parse_grid(gname, gdef, layer_name)
+        gname: _parse_grid(gname, gdef, layer_name, layers)
         for gname, gdef in read(doc, "grids", OBJECT, "tech", default={}).items()
     }
 

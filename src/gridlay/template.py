@@ -39,6 +39,7 @@ from .geometry import (
     Point,
     Rect,
     Transform,
+    _checked_replace,
     apply,
     apply_rect,
     compose,
@@ -172,9 +173,7 @@ class VirtualInstance(
                 raise ValueError(f"instance {master}: pin {pname} outside bbox")
         return cls._make((master, params, origin, transform, size, subelements, pins))
 
-    def _replace(self, **fields) -> "VirtualInstance":
-        """A copy with `fields` replaced, built and checked like a new record."""
-        return type(self)(**{**self._asdict(), **fields})
+    _replace = _checked_replace
 
     @cached_property
     def _local(self) -> dict:

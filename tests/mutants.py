@@ -41,6 +41,8 @@ GRID = "tests/test_grid.py::test_grid_validation"
 TRACK_SPEC = "tests/test_grid.py::test_track_spec_rejects_bad_fields"
 ROUTE_ORACLE = "tests/test_design.py::test_route_matches_oracle_on_random_paths"
 SREF_ALONE = "tests/test_io.py::test_each_sref_is_the_one_its_copy_gets_alone"
+THREE_AUTO_M1 = ("tests/test_tech.py::test_malformed_entry_is_a_validation_error_naming_it"
+                 "[grids.sig.xtracks]")
 
 
 def deleted(name: str, file: str, old: str, *tests: str) -> Mutant:
@@ -72,7 +74,7 @@ MUTANTS = [
             '        if wmul < 1:\n            raise ValueError("wmul must be >= 1")\n',
             TRACK_SPEC + "[fields1]"),
     deleted("TrackSpec: no color check", "src/gridlay/grid.py",
-            '        if color not in (None, "A", "B", "none"):\n'
+            "        if color not in TRACK_COLORS:\n"
             '            raise ValueError(f"unknown color {color!r}")\n',
             TRACK_SPEC + "[fields2]"),
     deleted("Track: no width check", "src/gridlay/grid.py",
@@ -92,10 +94,7 @@ MUTANTS = [
             '                raise ValueError(f"instance {master}: pin {pname} outside bbox")\n',
             "tests/test_template.py::test_pins_must_lie_inside_bbox"),
     *(deleted(f"{cls}: _replace skips the checks", f"src/gridlay/{file}",
-              f"{made}\n\n"
-              f'    def _replace(self, **fields) -> "{cls}":\n'
-              '        """A copy with `fields` replaced, built and checked like a new record."""\n'
-              "        return type(self)(**{**self._asdict(), **fields})\n",
+              f"{made}\n\n    _replace = _checked_replace\n",
               REPLACE + f"[{cls}]")
       for cls, file, made in [
           ("OneDimGrid", "grid.py", "        return cls._make((period, coords))"),
@@ -119,7 +118,23 @@ MUTANTS = [
     Mutant("ViaDef: pad enclosure off by one", "src/gridlay/tech.py",
            "            e = enclosure.get(layer, 0)\n", "            e = enclosure.get(layer, 0) + 1\n",
            ("tests/test_via_geometry.py::test_via_rects_match_the_rule",)),
+    # -- masks
+    Mutant("track_colors: auto color by pattern index", "src/gridlay/grid.py",
+           "masks[turn.get(t.layer, 0) % len(masks)]", "masks[len(colors) % len(masks)]",
+           ("tests/test_grid.py::test_auto_colors_alternate_per_layer",)),
+    deleted("load_tech: no alternation check", "src/gridlay/tech.py",
+            '        check_alternation(f"{where}.{key}", out, layers)\n', THREE_AUTO_M1),
+    Mutant("check_alternation: no wrap", "src/gridlay/grid.py",
+           "zip(cs, cs[1:] + cs[:1])", "zip(cs, cs[1:])", (THREE_AUTO_M1,)),
+    Mutant("DATATYPE_OFFSET: colorA and colorB swapped", "src/gridlay/geometry.py",
+           '"colorA": 2, "colorB": 3', '"colorA": 3, "colorB": 2',
+           ("tests/test_golden.py::test_flow_output_bytes[default-dac1-mock_finfet]",)),
     # -- routing
+    deleted("route: vias placed before every bend is checked", "src/gridlay/design.py",
+            "        for p in bends:  # check every via before placing any\n"
+            "            if grid.viamap.get(*p) is None:\n"
+            '                raise MissingVia(f"no via at track intersection {p}")\n',
+            "tests/test_design.py::test_route_missing_later_via_leaves_the_design_unchanged"),
     Mutant("route: the low end's reach ignores the via", "src/gridlay/design.py",
            "                if lo in vias:\n"
            "                    r0 = max(r0, -vias[lo].pad(layer)[k])\n", "",

@@ -140,6 +140,19 @@ def test_route_missing_via(finfet):
         d.route(g, [(0, 0), (2, 0), (2, 2)])
 
 
+def test_route_missing_later_via_leaves_the_design_unchanged(finfet):
+    # x tracks m1, m2 and y track m3: the bend at (1, 2) has v23, the one at
+    # (0, 2) has no via, so route must place neither via nor wire.
+    from gridlay.grid import GridSpec, TrackSpec
+
+    spec = GridSpec("nv", (TrackSpec("m1"), TrackSpec("m2")), (TrackSpec("m3"),))
+    g = generate_routing_grid(finfet, spec, BIG)
+    d = Design("t", finfet)
+    with pytest.raises(MissingVia, match=r"^no via at track intersection \(0, 2\)$"):
+        d.route(g, [(1, 0), (1, 2), (0, 2), (0, 4)])
+    assert d.vias == [] and d.wires == []
+
+
 LAND_TECH = """
 {
   "name": "landtech",

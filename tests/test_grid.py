@@ -337,6 +337,15 @@ def test_auto_colors_alternate(gridtech):
     assert g.ytracks.get(0).color is None   # m2 is not colorable
 
 
+def test_auto_colors_alternate_per_layer(gridtech):
+    # The mc tracks sit at pattern indices 0 and 2, but are the layer's first
+    # and second colored tracks.
+    spec = GridSpec("g", (TrackSpec("mc"), TrackSpec("m2"), TrackSpec("mc"), TrackSpec("m2")),
+                    (TrackSpec("m2"),))
+    g = generate_routing_grid(gridtech, spec, BIG)
+    assert [t.color for t in g.xtracks.elements] == ["A", None, "B", None]
+
+
 def test_track_spacing_invariant(gridtech):
     # Adjacent track edges keep min spacing over two full periods, for random
     # patterns: 2*(c2 - c1) >= w1 + w2 + 2*spacing.

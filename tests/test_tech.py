@@ -169,6 +169,13 @@ def test_load_tech_file_unknown():
 BAD_VALUES = [
     (("grids", "sig", "ytracks", 0, "kind"), "bogus", "grid sig"),
     (("grids", "sig", "ytracks", 2, "wmul"), 0, "grid sig.ytracks[2].wmul"),
+    # One layer's colored tracks alternate masks, across the period wrap too.
+    (("grids", "sig", "xtracks"), [{"layer": "m1"}] * 3,
+     "grid sig.xtracks: the colored tracks of layer 'm1' must alternate masks across the "
+     "period wrap, got ['A', 'B', 'A']"),
+    (("grids", "sig", "ytracks", 1, "color"), "A",
+     "grid sig.ytracks: the colored tracks of layer 'm2' must alternate masks across the "
+     "period wrap, got ['A', 'A']"),
     (("vias", 0, "cut_size"), [4], "via v12.cut_size"),
     (("vias", 0, "enclosure"), [2, 4], "via v12.enclosure"),
     # An enclosure key must name the via's lower or upper layer, which differ.
