@@ -6,7 +6,7 @@ post-processing handles cut patterns, minimum-area extension, patterning
 colors, and dummy fill; designs export to GDSII, canonical JSON, and SVG.
 """
 
-from .design import Design, Pin, PlacedVia, Violation, Wire, check_all, check_spacing
+from .design import Design, Pin, PlacedVia, Violation, Wire, check_all
 from .errors import (
     BadParams,
     DuplicatePin,

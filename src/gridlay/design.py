@@ -117,7 +117,7 @@ class Design:
     ) -> VirtualInstance:
         """Snap an instance to abstract placement coordinates and append it.
 
-        Overlaps are allowed here; they are reported by check_spacing, not at
+        Overlaps are allowed here; they are reported by check_all, not at
         placement time.
         """
         placed = vi.at(grid.phys(xy), transform)
@@ -373,25 +373,21 @@ def _check_layer(
     return out
 
 
-def check_spacing(d: Design, layer: str) -> list[Violation]:
-    """Same-layer spacing check by a sweep on x.
-
-    The design is flattened once into per-layer shape buckets. Shapes are
-    then swept in lo.x order against an active window of shapes that end
-    less than min_spacing to the left, so only x-near pairs are compared.
-    Shapes that touch or overlap are fabricated as one aggregated pattern and
-    are merged before checking, so only gaps between disjoint patterns count;
-    each pattern pair reports its closest pair of shapes. A gap smaller than
-    min_spacing is reported unless a cut shape on the layer's cut layer
-    bisects it. Pin-purpose shapes are label overlays of their wires and are
-    skipped. Diagonal gaps compare the exact Euclidean distance in integers.
-    Violations come in shape order (iter_rows order of the pair).
-    """
-    return _check_layer(d.tech.layer(layer), *_shape_index(d))
-
-
 def check_all(d: Design) -> list[Violation]:
-    """check_spacing over every layer of the technology, from one flattening."""
+    """Same-layer spacing check of every layer of the technology, by a sweep on x.
+
+    The design is flattened once into per-layer shape buckets. On each layer
+    the shapes are swept in lo.x order against an active window of shapes
+    that end less than min_spacing to the left, so only x-near pairs are
+    compared. Shapes that touch or overlap are fabricated as one aggregated
+    pattern and are merged before checking, so only gaps between disjoint
+    patterns count; each pattern pair reports its closest pair of shapes. A
+    gap smaller than min_spacing is reported unless a cut shape on the
+    layer's cut layer bisects it. Pin-purpose shapes are label overlays of
+    their wires and are skipped. Diagonal gaps compare the exact Euclidean
+    distance in integers. Violations come layer by layer in the tech's layer
+    order, and within a layer in shape order (iter_rows order of the pair).
+    """
     index = _shape_index(d)
     out: list[Violation] = []
     for rule in d.tech.layers.values():

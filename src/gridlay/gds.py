@@ -51,8 +51,6 @@ ANGLE = 0x1C05
 STRING = 0x1906
 
 GDS_VERSION = 600
-USER_UNIT = 1e-3   # database unit expressed in user units
-DB_UNIT_M = 1e-9   # database unit in meters
 
 REFLECT = 0x8000
 
@@ -238,16 +236,21 @@ def read_library(data: bytes) -> Library:
         pos += size
 
     it = iter(records)
+    cause = None
     try:
-        return _parse_library(it)
+        lib = _parse_library(it)
     except (struct.error, UnicodeDecodeError, IndexError) as exc:
         # Each record is decoded right after it is taken, so the culprit is
         # the last one the iterator handed out.
         k = len(records) - operator.length_hint(it) - 1
-        rtype, payload = records[k]
-        offset = sum(4 + len(p) for _, p in records[:k])
-        msg = f"record {rtype:#06x} at offset {offset}: bad {len(payload)}-byte payload"
-        raise ParseError(f"{msg} ({exc})") from exc
+        what, cause = f"bad {len(records[k][1])}-byte payload ({exc})", exc
+    else:
+        k = len(records) - operator.length_hint(it)   # the first record after ENDLIB
+        if k == len(records):
+            return lib
+        what = "record after ENDLIB"
+    offset = sum(4 + len(p) for _, p in records[:k])
+    raise ParseError(f"record {records[k][0]:#06x} at offset {offset}: {what}") from cause
 
 
 def _parse_library(it) -> Library:
@@ -285,7 +288,7 @@ def _parse_library(it) -> Library:
                 layer = struct.unpack(">h", expect(LAYER))[0]
                 dt = struct.unpack(">h", expect(DATATYPE))[0]
                 raw = expect(XY)
-                vals = struct.unpack(f">{len(raw) // 4}i", raw)
+                vals = struct.unpack(f">{len(raw) // 8 * 2}i", raw)  # whole points only
                 xy = tuple(zip(vals[0::2], vals[1::2]))
                 elements.append(Boundary(layer, dt, xy))
                 expect(ENDEL)
@@ -391,4 +394,6 @@ def write_gds(d: Design) -> bytes:
             for name, x, y, layer in texts]
 
     structures.append((d.name, top))
-    return _stream(d.name, USER_UNIT, DB_UNIT_M, structures)
+    # A database unit is one design unit, unit_nm nm; the user unit is 1 um.
+    unit = d.tech.unit_nm
+    return _stream(d.name, unit * 1e-3, unit * 1e-9, structures)

@@ -329,18 +329,6 @@ def _build_mos(tpl: Template, params: dict, tech: "TechDB"):
     return size, subelements, pins
 
 
-def _build_strip(tpl: Template, params: dict, tech: "TechDB"):
-    """n repeats of a configured cell in a row (tap/decap stand-ins)."""
-    cfg = tpl.config
-    n = params["n"]
-    cw = cfg["cell_width"]
-    subelements = [
-        SubElement(cfg["cell_rects"], Point(k * cw, 0), Transform.R0, f"{tpl.name}_cell")
-        for k in range(n)
-    ]
-    return Point(n * cw, cfg["row_height"]), subelements, cfg["pins"]
-
-
 def _build_scan_bit(tpl: Template, params: dict, tech: "TechDB"):
     """One scan cell: core block plus an optional level-shift block abutted right.
 
@@ -399,16 +387,6 @@ def _parse_mos_config(cfg: dict, where: str, layer_name: Kind) -> dict:
     return cfg
 
 
-def _parse_strip_config(cfg: dict, where: str, layer_name: Kind) -> dict:
-    """A strip's cell rects and pins, parsed once at load."""
-    rects = tuple(
-        _parse_rect(e, f"{where}.cell_rects[{i}]", layer_name)
-        for i, e in enumerate(cfg["cell_rects"])
-    )
-    pins = _parse_pins(read(cfg, "pins", OBJECT, where, default={}), where, layer_name)
-    return dict(cfg, cell_rects=rects, pins=pins)
-
-
 class KindDef(namedtuple("KindDef", "build params config parse_config templates",
                          defaults=(None, {}))):
     """A built-in kind, with what its builder reads so that the tech
@@ -437,9 +415,6 @@ _KIND_BUILDERS: dict[str, KindDef] = {
         "poly_layer": STR, "active_layer": STR, "vth_markers": OBJECT, "channel_markers": OBJECT,
         "pin_size": POS_INT, "pin_margin": NONNEG_INT, "pin_layer": STR,
     }, _parse_mos_config),
-    "strip": KindDef(_build_strip, {"n": "int"}, {
-        "cell_width": POS_INT, "row_height": POS_INT, "cell_rects": LIST,
-    }, _parse_strip_config),
     "scan_bit": KindDef(_build_scan_bit, {"with_levelshift": "bool"},
                         {"core": STR, "levelshift": STR}, templates=_SCAN_BIT_PINS),
 }

@@ -159,6 +159,17 @@ MUTANTS = [
            "_XY_ENDEL.pack(12, XY, _coord(x), _coord(y), 4, ENDEL)",
            "_XY_ENDEL.pack(12, XY, x, y, 4, ENDEL)",
            ("tests/test_io.py::test_gds_overflow_past_either_end_of_32_bits",)),
+    Mutant("write_gds: fixed units, whatever the tech's unit_nm", "src/gridlay/gds.py",
+           "_stream(d.name, unit * 1e-3, unit * 1e-9, structures)",
+           "_stream(d.name, 1e-3, 1e-9, structures)",
+           ("tests/test_io.py::test_units_follow_the_tech_unit",)),
+    # -- the GDS reader
+    Mutant("read_library: a record after ENDLIB ignored", "src/gridlay/gds.py",
+           "        if k == len(records):\n", "        if True:\n",
+           ("tests/test_io.py::test_gds_record_after_endlib",)),
+    Mutant("read_library: a BOUNDARY XY keeps a half point", "src/gridlay/gds.py",
+           'struct.unpack(f">{len(raw) // 8 * 2}i", raw)', 'struct.unpack(f">{len(raw) // 4}i", raw)',
+           ("tests/test_io.py::test_gds_boundary_xy_of_a_half_point",)),
     # -- the spacing checker
     Mutant("checker: cut suppression off", "src/gridlay/design.py",
            "        if not _cut_suppressed(shapes[i], shapes[j], cuts):\n", "        if True:\n",

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from gridlay.cli import main as cli_main
-from gridlay.design import Design, Wire, check_spacing
+from gridlay.design import Design, Wire, check_all
 from gridlay.geometry import Point, Rect, Transform
 from gridlay.grid import CircularMapping, OneDimGrid
 from gridlay.errors import NotOnGrid
@@ -144,7 +144,7 @@ def test_criterion_4_cut_generation(finfet):
             d.add_wire(Wire(layer="m1", axis="h", track=100,
                             lo=lo, hi=lo + rng.randint(4, 150), width=20))
         cut_pattern_gen(d, "m1")
-        ok &= check_spacing(d, "m1") == []
+        ok &= [v for v in check_all(d) if v.layer == "m1"] == []
 
     # closed form: k clustered non-pin wires -> (k-1) + 2 cuts
     threshold = finfet.layer("m1").cut.spacing_threshold

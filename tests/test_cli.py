@@ -166,17 +166,17 @@ def _no_scan_in(templates, doc):
 
 
 def _dynamic_core(templates, doc):
-    templates["scan_bit"]["config"]["core"] = "tap"
+    templates["scan_bit"]["config"]["core"] = "mos"
 
 
-def _str_strip_count(templates, doc):
-    templates["tap"]["params"]["n"] = {"type": "str", "default": "1"}
-    doc["instances"].append({"master": "tap", "params": {"n": "2"}, "origin": [0, 0],
+def _str_finger_count(templates, doc):
+    templates["mos"]["params"]["nf"] = {"type": "str", "default": "1"}
+    doc["instances"].append({"master": "mos", "params": {"nf": "2"}, "origin": [0, 0],
                              "transform": "R0"})
 
 
 @pytest.mark.parametrize("command", ["check", "postprocess"])
-@pytest.mark.parametrize("edit", [_no_scan_in, _dynamic_core, _str_strip_count])
+@pytest.mark.parametrize("edit", [_no_scan_in, _dynamic_core, _str_finger_count])
 def test_rebuild_against_mismatched_templates_exits_1(tmp_path, capsys, command, edit):
     # Templates a builder would fail on: the tech fails to load, naming the template.
     tech = json.loads(resources.files("gridlay").joinpath("techs/mock_finfet.json").read_text())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from gridlay.design import Design, Wire, check_all, check_spacing
+from gridlay.design import Design, Wire, check_all
 from gridlay.errors import (
     DuplicatePin,
     FlowError,
@@ -57,7 +57,7 @@ def test_place_allows_overlap(finfet, unit_grid):
     d = Design("t", finfet)
     vi = generate(finfet.template("mos"), {}, finfet)
     d.place(vi, unit_grid, (0, 0))
-    d.place(vi, unit_grid, (0, 0))   # reported by check_spacing, not here
+    d.place(vi, unit_grid, (0, 0))   # reported by check_all, not here
     assert len(d.instances) == 2
 
 
@@ -287,7 +287,7 @@ def test_pin_on_foreign_wire(finfet):
         d.add_pin("a", "n", twin)
 
 
-# -- check_spacing ----------------------------------------------------------------
+# -- check_all --------------------------------------------------------------------
 
 def two_wire_design(finfet, gap):
     d = Design("t", finfet)
@@ -298,12 +298,12 @@ def two_wire_design(finfet, gap):
 
 def test_spacing_boundary_satisfies_rule(finfet):
     d = two_wire_design(finfet, finfet.layer("m1").min_spacing)
-    assert check_spacing(d, "m1") == []
+    assert [v for v in check_all(d) if v.layer == "m1"] == []
 
 
 def test_spacing_one_below_violates(finfet):
     d = two_wire_design(finfet, finfet.layer("m1").min_spacing - 1)
-    violations = check_spacing(d, "m1")
+    violations = [v for v in check_all(d) if v.layer == "m1"]
     assert len(violations) == 1
 
 
@@ -320,14 +320,14 @@ def test_cut_suppresses_violation(finfet):
             "cut",
         )
     )
-    assert check_spacing(d, "m1") == []
+    assert [v for v in check_all(d) if v.layer == "m1"] == []
 
 
 def test_touching_shapes_merge(finfet):
     d = two_wire_design(finfet, 0)    # abutting: one aggregated pattern
-    assert check_spacing(d, "m1") == []
+    assert [v for v in check_all(d) if v.layer == "m1"] == []
     d2 = two_wire_design(finfet, -10)  # overlapping
-    assert check_spacing(d2, "m1") == []
+    assert [v for v in check_all(d2) if v.layer == "m1"] == []
 
 
 def test_diagonal_gap_uses_euclidean(finfet):
@@ -335,12 +335,12 @@ def test_diagonal_gap_uses_euclidean(finfet):
     d.rects.append(Rect("m1", Point(0, 0), Point(20, 20)))
     # dx=12, dy=16 -> distance 20 == min_spacing: no violation
     d.rects.append(Rect("m1", Point(32, 36), Point(52, 56)))
-    assert check_spacing(d, "m1") == []
+    assert [v for v in check_all(d) if v.layer == "m1"] == []
     # dx=12, dy=15 -> distance < 20: violation
     d2 = Design("t", finfet)
     d2.rects.append(Rect("m1", Point(0, 0), Point(20, 20)))
     d2.rects.append(Rect("m1", Point(32, 35), Point(52, 55)))
-    assert len(check_spacing(d2, "m1")) == 1
+    assert len([v for v in check_all(d2) if v.layer == "m1"]) == 1
 
 
 def test_shape_on_undefined_layer_is_rejected(finfet):
@@ -349,8 +349,6 @@ def test_shape_on_undefined_layer_is_rejected(finfet):
     d.rects.append(Rect("nosuch", Point(22, 0), Point(42, 20)))
     with pytest.raises(UnknownLayer, match="nosuch"):
         check_all(d)
-    with pytest.raises(UnknownLayer, match="nosuch"):
-        check_spacing(d, "m1")
 
 
 # -- run_flow ----------------------------------------------------------------------

@@ -22,8 +22,6 @@ SIGNS = {"R0": (1, 1), "MX": (1, -1), "MY": (-1, 1), "R180": (-1, -1)}
 # Every template with its default parameters, plus non-default ones.
 EXTRA_PARAMS = {
     "mos": [{"nf": 3, "vth": "lvt", "channel": "p"}, {"nf": 1, "vth": "hvt"}],
-    "tap": [{"n": 4}],
-    "decap": [{"n": 3}],
     "scan_bit": [{"with_levelshift": True}],
 }
 FLOWS = [("dac", {"bits": 3}), ("scan", {"n_bits": 3}), ("scan", {"n_bits": 2, "with_levelshift": True})]
@@ -111,7 +109,7 @@ def test_every_template_at_every_transform(techs):
         for vi in masters(tech):
             check_copies(vi, rng)
             seen += 1
-    assert seen == 2 * (7 + 5)
+    assert seen == 2 * (5 + 3)
 
 
 def test_mixed_sub_element_orientations():
@@ -172,8 +170,8 @@ def test_rebuild_generates_once_per_master_and_params(finfet):
     d = Design("mix", finfet)
     for k, (name, params, t) in enumerate([
         ("mos", {"nf": 1}, Transform.R0), ("mos", {"nf": 2}, Transform.MY),
-        ("mos", {"nf": 1}, Transform.R180), ("tap", {"n": 2}, Transform.MX),
-        ("mos", {"nf": 2, "vth": "lvt"}, Transform.R0), ("tap", {"n": 2}, Transform.R0),
+        ("mos", {"nf": 1}, Transform.R180), ("scan_core", {}, Transform.MX),
+        ("mos", {"nf": 2, "vth": "lvt"}, Transform.R0), ("scan_core", {}, Transform.R0),
     ]):
         d.instances.append(generate(finfet.template(name), params, finfet).at(Point(300 * k, 50 * k), t))
     rebuilt = document_to_design(read_layout_json(write_layout_json(d)), finfet)

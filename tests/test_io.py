@@ -1,5 +1,7 @@
+import json
 import math
 import struct
+from importlib import resources
 
 import pytest
 
@@ -7,10 +9,9 @@ from gridlay.design import Design, Wire
 from gridlay.errors import GdsOverflow, ParseError, ValidationError
 from gridlay.flow import run_flow
 from gridlay.gds import (
-    DB_UNIT_M,
     LAYER,
     STRNAME,
-    USER_UNIT,
+    XY,
     Boundary,
     Library,
     Sref,
@@ -29,6 +30,7 @@ from gridlay.layoutjson import (
     write_layout_json,
 )
 from gridlay.svg import write_svg
+from gridlay.tech import load_tech
 from gridlay.template import SubElement, VirtualInstance, generate
 
 from test_golden import DESIGNS, FLAGS, TECHS
@@ -231,6 +233,31 @@ def test_gds_payload_that_does_not_fit_its_record_type(finfet):
     assert write_library(read_library(data)) == data
 
 
+def test_gds_record_after_endlib(finfet):
+    data = write_gds(run_flow("dac", {"bits": 2}, finfet))
+    after = f"^record 0x0400 at offset {len(data)}: record after ENDLIB$"
+    with pytest.raises(ParseError, match=after):
+        read_library(data + struct.pack(">HH", 4, 0x0400))
+
+
+def test_gds_boundary_xy_of_a_half_point(finfet):
+    data = write_gds(run_flow("dac", {"bits": 2}, finfet))
+    at = record_offset(data, XY)   # the first element of the first master, a BOUNDARY
+    size = struct.unpack(">H", data[at:at + 2])[0]
+    # one more 4-byte integer: 11 in all, an x without its y
+    odd = (data[:at] + struct.pack(">HH", size + 4, XY) + data[at + 4:at + size] + bytes(4)
+           + data[at + size:])
+    with pytest.raises(ParseError, match=f"^record 0x1003 at offset {at}: bad {size}-byte payload"):
+        read_library(odd)
+
+
+def test_units_follow_the_tech_unit():
+    doc = json.loads(resources.files("gridlay").joinpath("techs/mock_finfet.json").read_text())
+    doc["unit_nm"] = 2
+    lib = read_library(write_gds(run_flow("dac", {"bits": 1}, load_tech(json.dumps(doc)))))
+    assert lib.db_unit_m == pytest.approx(2e-9) and lib.user_unit == pytest.approx(2e-3)
+
+
 def test_gds_rejects_non_ascii_names(finfet):
     with pytest.raises(ValidationError, match="'dä'"):
         write_gds(Design("dä", finfet))
@@ -272,7 +299,7 @@ def test_boundaries_of_any_point_count_round_trip():
     tri = Boundary(1, 0, ((0, 0), (5, 0), (0, 0)))
     seven = Boundary(63, 7, ((-2 ** 31, 0), (2 ** 31 - 1, 0), (2 ** 31 - 1, 9), (4, 9),
                              (4, 3), (-2 ** 31, 3), (-2 ** 31, 0)))
-    lib = Library("pts", USER_UNIT, DB_UNIT_M, (Structure("s", (tri, seven)),))
+    lib = Library("pts", 1e-3, 1e-9, (Structure("s", (tri, seven)),))
     data = write_library(lib)
     assert read_library(data) == lib and write_library(read_library(data)) == data
     for b in (tri, seven):  # each element record by record, packed independently

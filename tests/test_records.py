@@ -9,6 +9,8 @@ keeps the constructor, checks, field-wise equality, unhashability and repr
 text of a plain record class.
 """
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -178,6 +180,17 @@ def test_wire_equality_is_field_wise_and_wires_are_unhashable():
     assert a != ("m1", "h", 0, 0, 10, 20, False, None, None)  # not a tuple
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_rect_copies_and_pickles_through_its_constructor():
+    r = Rect("m1", Point(5, 6), Point(1, 2), "pin")
+    for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+        assert type(twin) is Rect and twin == r
+
+
+def test_circular_mappings_hash_by_their_items():
+    assert hash(CircularMapping([1, 2, 3])) == hash(CircularMapping((1, 2, 3)))
+    assert {CircularMapping([1, 2]): 0} == {CircularMapping((1, 2)): 0}
 
 
 def test_wire_repr_is_the_field_listing():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from gridlay.design import Design, check_all, check_spacing
+from gridlay.design import Design, check_all
 from gridlay.flow import run_flow
 from gridlay.geometry import Point, Rect
 
@@ -27,9 +27,10 @@ def techs(finfet, planar):
 
 
 def assert_same(d: Design):
-    assert check_all(d) == oracle_check_all(d)
+    found = check_all(d)
+    assert found == oracle_check_all(d)
     for layer in LAYERS:
-        assert check_spacing(d, layer) == oracle_check_spacing(d, layer)
+        assert [v for v in found if v.layer == layer] == oracle_check_spacing(d, layer)
 
 
 def bisecting_cut(tech, a: Rect, b: Rect) -> Rect | None:

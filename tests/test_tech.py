@@ -204,27 +204,26 @@ BAD_VALUES = [
     # min is at most max, and each choice has the param's type.
     (("templates", "mos", "params", "channel", "default"), "x",
      "template mos.params.channel.default: 'channel' must be one of ['n', 'p']"),
-    (("templates", "tap", "params", "n", "default"), 0, "template tap.params.n.default: 'n' must be >= 1"),
-    (("templates", "decap", "params", "n", "default"), 65,
-     "template decap.params.n.default: 'n' must be <= 64"),
-    (("templates", "tap", "params", "n", "min"), 100,
-     "template tap.params.n.min: must be <= max 64, got 100"),
+    (("templates", "mos", "params", "nf", "default"), 0, "template mos.params.nf.default: 'nf' must be >= 1"),
+    (("templates", "mos", "params", "nf", "default"), 65,
+     "template mos.params.nf.default: 'nf' must be <= 64"),
+    (("templates", "mos", "params", "nf"), {"type": "int", "default": 1, "min": 100, "max": 64},
+     "template mos.params.nf.min: must be <= max 64, got 100"),
     (("templates", "mos", "params", "channel", "choices"), ["n", 1],
      "template mos.params.channel.choices[1]: must be a string, got 1"),
     (("templates", "mos", "params", "nf", "type"), "float", "template mos.params.nf.type"),
     (("templates", "mos", "kind"), "foo",
-     "template mos.kind: must be one of ['native', 'mos', 'strip', 'scan_bit'], got 'foo'"),
-    (("templates", "tap", "config"), [], "template tap.config"),
+     "template mos.kind: must be one of ['native', 'mos', 'scan_bit'], got 'foo'"),
+    (("templates", "mos", "config"), [], "template mos.config"),
     (("templates", "mos", "config", "poly_pitch"), "x", "template mos.config.poly_pitch"),
     (("templates", "mos", "config", "pin_margin"), -1, "template mos.config.pin_margin"),
-    (("templates", "tap", "config", "cell_rects", 0, "rect"), ["a", 0, 1, 1],
-     "template tap.config.cell_rects[0].rect"),
-    (("templates", "tap", "config", "pins", "tap", "layer"), 5, "template tap.config.pins.tap.layer"),
-    (("templates", "tap", "params", "n", "type"), "str", "template tap.params.n.type"),
+    (("templates", "scan_core", "pins", "scan_out", "layer"), 5, "template scan_core.pins.scan_out.layer"),
+    (("templates", "mos", "params"), {"nf": {"type": "str", "default": "1"}},
+     "template mos.params.nf.type: must be one of ['int'], got 'str'"),
     (("templates", "mos", "params", "vth", "type"), "int", "template mos.params.vth.type"),
     (("templates", "scan_bit", "params", "with_levelshift", "type"), "int",
      "template scan_bit.params.with_levelshift.type"),
-    (("templates", "scan_bit", "config", "core"), "tap", "template scan_bit.config.core"),
+    (("templates", "scan_bit", "config", "core"), "mos", "template scan_bit.config.core"),
     (("templates", "scan_bit", "config", "levelshift"), "nosuch",
      "template scan_bit.config.levelshift"),
     # Layer names inside templates must name a layer of the tech.
@@ -240,10 +239,8 @@ BAD_VALUES = [
      "template dummy.layer: must be a defined layer, got 'nosuch'"),
     (("templates", "scan_core", "pins", "clk", "layer"), "nosuch",
      "template scan_core.pins.clk.layer: must be a defined layer, got 'nosuch'"),
-    (("templates", "tap", "config", "cell_rects", 1, "layer"), "nosuch",
-     "template tap.config.cell_rects[1].layer: must be a defined layer, got 'nosuch'"),
-    (("templates", "tap", "config", "pins", "tap", "layer"), "nosuch",
-     "template tap.config.pins.tap.layer"),
+    (("templates", "scan_core", "pins", "scan_in", "layer"), "nosuch",
+     "template scan_core.pins.scan_in.layer"),
 ]
 
 
@@ -277,7 +274,7 @@ def test_malformed_entry_is_a_validation_error_naming_it(path, value, names):
     (("templates", "mos", "config"), "poly_pitch"),
     (("templates", "scan_bit", "config"), "levelshift"),
     (("templates", "mos", "params"), "vth"),
-    (("templates", "tap", "params"), "n"),
+    (("templates", "mos", "params"), "nf"),
 ])
 def test_missing_field_is_named(path, field):
     doc = finfet_doc()

@@ -83,13 +83,6 @@ def test_scan_bit_levelshift(finfet):
         assert vi.pins["scan_out"].rect.hi.x == vi.size.x
 
 
-def test_strip_templates(finfet):
-    tap = generate(finfet.template("tap"), {"n": 3}, finfet)
-    assert len(tap.subelements) == 3
-    assert tap.size.x == 3 * finfet.template("tap").config["cell_width"]
-    assert "tap" in tap.pins
-
-
 # -- placement algebra ---------------------------------------------------------
 
 def simple_vi(origin=Point(0, 0), transform=Transform.R0, size=Point(40, 20),
