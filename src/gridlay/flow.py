@@ -39,8 +39,8 @@ def _stage(name, fn, *args):
 
 
 def run_pass(d: Design, name: str, color_offset: int = 0) -> None:
-    """Run one post pass on every layer the tech requires it for (min area > 0,
-    a cut rule, colorable; dummies need a `dummy` template and instances).
+    """Run one post pass on every layer the tech requires it for (the layers
+    `TechDB.pass_layers` lists; dummies need a `dummy` template and instances).
     Errors carry the stage label, as in `postprocess[cuts:m1]`."""
     if name not in POST_PASSES:
         raise LayoutError(f"unknown post pass {name!r}; known: {', '.join(POST_PASSES)}")
@@ -51,12 +51,15 @@ def run_pass(d: Design, name: str, color_offset: int = 0) -> None:
             _stage("postprocess[dummies]", fill_dummies, d,
                    Rect._make(("", x0, y0, x1, y1, "drawing")))
         return
-    for layer, rule in d.tech.layers.items():
-        if name == "min-area" and rule.min_area > 0:
+    layers = d.tech.pass_layers[name]
+    if name == "min-area":
+        for layer in layers:
             _stage(f"postprocess[min-area:{layer}]", extend_min_area, d, layer)
-        elif name == "cuts" and rule.cut is not None:
+    elif name == "cuts":
+        for layer in layers:
             _stage(f"postprocess[cuts:{layer}]", cut_pattern_gen, d, layer)
-        elif name == "colors" and rule.colorable:
+    else:
+        for layer in layers:
             _stage(f"postprocess[colors:{layer}]", assign_colors, d, layer, color_offset)
 
 
@@ -80,7 +83,7 @@ def run_flow(
     _stage("grids", gen.make_grids, d)
     _stage("routing", gen.route_wires, d)
     _stage("pinning", gen.add_pins, d)
-    for name in POST_PASSES:
-        if getattr(flags, name.replace("-", "_")):
+    for name, on in zip(POST_PASSES, flags):  # the first four flags, in pass order
+        if on:
             run_pass(d, name, flags.color_offset)
     return d

@@ -81,8 +81,16 @@ def _signal_track(spec: GridSpec, n: int) -> int:
     """Abstract y index of the n-th signal track, skipping power tracks."""
     kinds = [t.kind for t in spec.ytracks]
     positions = [i for i, k in enumerate(kinds) if k == "signal"]
+    if not positions:
+        raise ValueError(f"grid {spec.name} has no signal track")
     per = len(positions)
     return len(kinds) * (n // per) + positions[n % per]
+
+
+def _pin_centre_x(master: VirtualInstance, pin: str) -> int:
+    """x centre of a pin of `master`, relative to its origin."""
+    r = master.pin_abs(pin)
+    return (r.x0 + r.x1) // 2 - master.origin.x
 
 
 def _power_track(spec: GridSpec) -> int:
@@ -127,10 +135,13 @@ class DacGenerator(Generator):
         self.rail_bits = [d.route(g, [(0, y), (ix_hi, y)])[0] for y in rails[1:]]
         self.rail_vss = d.route(g, [(0, vss_idx), (ix_hi, vss_idx)])[0]
 
+        # Every unit is an R0 copy of the master, so a unit's pin centre is
+        # the master's plus the unit's x origin.
+        gate_c, src_c = _pin_centre_x(self.unit, "g"), _pin_centre_x(self.unit, "s")
         for k, unit in enumerate(self.units):
-            gp, sp = unit.pin_abs("g"), unit.pin_abs("s")
-            gate_x = g.xgrid.index_where("==", (gp.x0 + gp.x1) // 2)
-            src_x = g.xgrid.index_where("==", (sp.x0 + sp.x1) // 2)
+            x = unit.origin.x
+            gate_x = g.xgrid.index_where("==", gate_c + x)
+            src_x = g.xgrid.index_where("==", src_c + x)
             # unit 0, the reference unit, goes to the output rail; unit k to
             # the rail of bit k.bit_length() - 1
             target = rails[k.bit_length()]
@@ -174,9 +185,9 @@ class ScanGenerator(Generator):
         width = self.params["n_bits"] * self.cell.size.x
         ix_hi = g.xgrid.index_where("<=", width)
         self.rail_clk = d.route(g, [(0, 0), (ix_hi, 0)])[0]
+        clk_c = _pin_centre_x(self.cell, "clk")  # each cell is an R0 copy of the master
         for cell in self.cells:
-            pin = cell.pin_abs("clk")
-            cx = g.xgrid.index_where("==", (pin.x0 + pin.x1) // 2)
+            cx = g.xgrid.index_where("==", clk_c + cell.origin.x)
             d.route(g, [(cx, 0), (cx, 1)])
             d.add_via(g, (cx, 0))
 

@@ -88,9 +88,23 @@ class ViaDef(namedtuple("ViaDef", "name lower upper cut_layer cut_size enclosure
 
 
 class TechDB(namedtuple("TechDB", "name unit_nm layers vias templates grids")):
-    """A technology: its LayerDefs, ViaDefs, Templates and GridSpecs, each by name."""
+    """A technology: its LayerDefs, ViaDefs, Templates and GridSpecs, each by name.
 
-    __slots__ = ()
+    `pass_layers` is built on first use and kept outside the tuple, like
+    `ViaDef.rects`, so a `_replace`d tech builds its own.
+    """
+
+    @cached_property
+    def pass_layers(self) -> dict[str, tuple[str, ...]]:
+        """Per-layer post pass -> the layers it runs on, in layer order:
+        min-area where `min_area` > 0, cuts where a cut rule is set, colors
+        where the layer is colorable."""
+        rules = self.layers.items()
+        return {
+            "min-area": tuple(n for n, r in rules if r.min_area > 0),
+            "cuts": tuple(n for n, r in rules if r.cut is not None),
+            "colors": tuple(n for n, r in rules if r.colorable),
+        }
 
     def layer(self, name: str) -> LayerDef:
         rule = self.layers.get(name)

@@ -142,6 +142,23 @@ MUTANTS = [
     Mutant("route: a via at every joint, not only at direction changes", "src/gridlay/design.py",
            "            if segs and segs[-1][0] != seg[0]:\n", "            if segs:\n",
            (ROUTE_ORACLE,)),
+    # -- generators: each copy's pins from the master's, shifted by the copy's origin
+    Mutant("DAC: the unit pin centres without the unit's x origin", "src/gridlay/generators.py",
+           "            x = unit.origin.x\n", "            x = 0\n",
+           ("tests/test_generators.py::test_each_dac_unit_routes_under_its_own_pins[1-finfet]",)),
+    Mutant("scan: the clock pin centre without the cell's x origin", "src/gridlay/generators.py",
+           "clk_c + cell.origin.x", "clk_c",
+           ("tests/test_generators.py::test_each_scan_cell_clocks_under_its_own_pin[8-False-finfet]",)),
+    # -- the flow's pass table and pins
+    Mutant("pass_layers: cuts on the colorable layers", "src/gridlay/tech.py",
+           '"cuts": tuple(n for n, r in rules if r.cut is not None)',
+           '"cuts": tuple(n for n, r in rules if r.colorable)',
+           ("tests/test_tech.py::test_pass_table_is_the_layers_the_document_marks"
+            "[mock_finfet-cut_only_on_m1]",)),
+    deleted("add_pin: no membership check", "src/gridlay/design.py",
+            "        if not any(w is wire for w in self.wires):\n"
+            '            raise UnknownWire(f"wire is not part of design {self.name}")\n',
+            "tests/test_design.py::test_pin_on_foreign_wire"),
     # -- GDS instances
     Mutant("write_gds: the SREF head keyed by structure name only", "src/gridlay/gds.py",
            "        head = heads.get((sname, t))\n        if head is None:\n"

@@ -15,7 +15,7 @@ from gridlay.errors import (
     UnknownLayer,
     UnknownWire,
 )
-from gridlay.flow import FlowFlags, run_flow, run_pass
+from gridlay.flow import POST_PASSES, FlowFlags, run_flow, run_pass
 from gridlay.geometry import Point, Rect, Transform
 from gridlay.grid import OneDimGrid, PlacementGrid, generate_routing_grid
 from gridlay.layoutjson import write_layout_json
@@ -389,6 +389,16 @@ def test_run_flow_errors_carry_stage(finfet):
 def test_flow_flags_disable_cuts(finfet):
     d = run_flow("dac", {"bits": 1}, finfet, FlowFlags(cuts=False))
     assert sum(1 for r in d.rects if r.purpose == "cut") == 0
+
+
+def test_flow_flags_start_with_the_passes_in_order():
+    # run_flow zips POST_PASSES with the flags, so the first four fields are the passes
+    assert FlowFlags._fields[:4] == tuple(p.replace("-", "_") for p in POST_PASSES)
+
+
+def test_pass_table_keys_are_the_per_layer_passes(finfet):
+    # run_pass reads TechDB.pass_layers by pass name; dummies is the one pass not per layer
+    assert tuple(finfet.pass_layers) == POST_PASSES[:3] and POST_PASSES[3] == "dummies"
 
 
 def test_run_pass_rejects_unknown_pass(finfet):

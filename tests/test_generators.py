@@ -1,17 +1,31 @@
+import json
+from importlib import resources
+
 import pytest
 
 from gridlay.design import check_all
-from gridlay.errors import BadParams, UnknownGenerator
+from gridlay.errors import BadParams, FlowError, UnknownGenerator
 from gridlay.flow import FlowFlags, run_flow
 from gridlay.gds import write_gds
 from gridlay.generators import Generator, generator_specs, get_generator
 from gridlay.grid import OneDimGrid, PlacementGrid
 from gridlay.layoutjson import design_to_document, write_layout_json
+from gridlay.tech import load_tech
 from gridlay.template import generate
 
 
 def units_of(d, master):
     return [vi for vi in d.instances if vi.master == master]
+
+
+def assert_routed_under(d, pin, rail_y: int) -> None:
+    """One vertical wire sits at the pin's x centre, spans the pin and reaches
+    the rail at rail_y, with a via there."""
+    x = (pin.x0 + pin.x1) // 2
+    (w,) = [w for w in d.wires if w.axis == "v" and w.track == x]
+    assert w.lo <= pin.y1 and pin.y0 <= w.hi, (pin, w)
+    assert w.lo <= rail_y <= w.hi, (x, rail_y, w)
+    assert (x, rail_y) in {tuple(v.pos) for v in d.vias}
 
 
 # -- registry -----------------------------------------------------------------
@@ -36,6 +50,29 @@ def test_dac_pins(finfet):
     vss = next(p for p in d.pins if p.name == "vss")
     # the vss rail runs on the generated power track: doubled width
     assert vss.wire.width == 2 * finfet.layer("m2").min_width
+
+
+@pytest.mark.parametrize("tech", ["finfet", "planar"])
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_each_dac_unit_routes_under_its_own_pins(request, tech, bits):
+    # an oracle from each placed unit's own pin_abs, not the master's pins
+    d = run_flow("dac", {"bits": bits}, request.getfixturevalue(tech))
+    rail = {p.name: p.wire.track for p in d.pins}
+    units = units_of(d, "mos")
+    assert len(units) == 2 ** bits
+    for k, unit in enumerate(units):
+        gate_rail = rail["out"] if k == 0 else rail[f"b{k.bit_length() - 1}"]
+        assert_routed_under(d, unit.pin_abs("g"), gate_rail)
+        assert_routed_under(d, unit.pin_abs("s"), rail["vss"])
+    assert sum(w.axis == "v" for w in d.wires) == 2 * len(units)
+
+
+def test_dac_on_a_grid_without_signal_y_tracks_names_the_grid():
+    doc = json.loads(resources.files("gridlay").joinpath("techs/mock_finfet.json").read_text())
+    for t in doc["grids"]["sig"]["ytracks"]:
+        t["kind"] = "power"
+    with pytest.raises(FlowError, match=r"^routing: grid sig has no signal track$"):
+        run_flow("dac", {"bits": 2}, load_tech(json.dumps(doc)))
 
 
 def test_dac_bad_params(finfet):
@@ -82,6 +119,20 @@ def test_scan_levelshift_block(finfet):
     # the chain still abuts through the level-shift block
     cells = units_of(shifted, "scan_bit")
     assert cells[0].pin_abs("scan_out").hi.x == cells[1].pin_abs("scan_in").lo.x
+
+
+@pytest.mark.parametrize("tech", ["finfet", "planar"])
+@pytest.mark.parametrize("levelshift", [False, True])
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_each_scan_cell_clocks_under_its_own_pin(request, tech, n, levelshift):
+    d = run_flow("scan", {"n_bits": n, "with_levelshift": levelshift},
+                 request.getfixturevalue(tech))
+    clk = next(p.wire for p in d.pins if p.name == "clk")
+    cells = units_of(d, "scan_bit")
+    assert len(cells) == n
+    for cell in cells:
+        assert_routed_under(d, cell.pin_abs("clk"), clk.track)
+    assert sum(w.axis == "v" for w in d.wires) == n
 
 
 def test_scan_bad_params(finfet):

@@ -3,10 +3,10 @@
 Every record class the package exports, and the GDS model, is a tuple
 subclass: it equals, hashes, unpacks and sorts like the tuple of its items,
 and none of its fields can be set. `_replace` builds a new record, so a value
-a record derives from its items (a via's pads) follows the new items, and a
-record whose constructor checks its items checks the new ones too. `Wire`
-keeps the constructor, checks, field-wise equality, unhashability and repr
-text of a plain record class.
+a record derives from its items (a via's pads, a tech's pass table) follows
+the new items, and a record whose constructor checks its items checks the
+new ones too. `Wire` keeps the constructor, checks, field-wise equality,
+unhashability and repr text of a plain record class.
 """
 
 import copy
@@ -149,6 +149,14 @@ def test_via_pads_follow_replace(finfet):
     fresh = ViaDef(**{**v._asdict(), "cut_size": (9, 9)})
     assert moved.rects == fresh.rects != v.rects
     assert moved.rects[0].width == moved.rects[0].height == 9
+
+
+def test_pass_table_follows_replace(finfet):
+    assert finfet.pass_layers["cuts"] == ("m1", "m2")  # built before the copy
+    layers = {**finfet.layers, "m2": finfet.layers["m2"]._replace(cut=None, min_area=0)}
+    moved = finfet._replace(layers=layers)
+    assert moved.pass_layers == {"min-area": ("m1",), "cuts": ("m1",), "colors": ("m1", "m2")}
+    assert finfet.pass_layers["cuts"] == ("m1", "m2")
 
 
 def test_wire_keyword_construction_and_defaults():

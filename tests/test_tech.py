@@ -77,6 +77,40 @@ def test_schema_faithfulness(name):
         assert dict(via.enclosure) == entry["enclosure"]
 
 
+def marked_layers(doc: dict) -> dict[str, tuple[str, ...]]:
+    """Per-layer post pass -> the layers the tech document marks for it."""
+    layers = doc["layers"]
+    return {
+        "min-area": tuple(e["name"] for e in layers if e.get("min_area", 0) > 0),
+        "cuts": tuple(e["name"] for e in layers if e.get("cut") is not None),
+        "colors": tuple(e["name"] for e in layers if e.get("colorable", False)),
+    }
+
+
+def cut_only_on_m1(doc: dict) -> dict:
+    """finfet with m2's cut rule dropped and a min area on m3, so each pass
+    names its own layers (the shipped finfet cuts and colors the same two)."""
+    for e in doc["layers"]:
+        if e["name"] == "m2":
+            del e["cut"]
+        if e["name"] == "m3":
+            e["min_area"] = 900
+    return doc
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("mock_planar", None), ("mock_finfet", None), ("mock_finfet", cut_only_on_m1),
+])
+def test_pass_table_is_the_layers_the_document_marks(name, edit):
+    doc = json.loads(fixture_text(name))
+    if edit is not None:
+        doc = edit(doc)
+    table = load_tech(json.dumps(doc)).pass_layers
+    assert table == marked_layers(doc)
+    if edit is not None:
+        assert table["cuts"] == ("m1",) != table["colors"]
+
+
 def test_templates_parsed(finfet):
     assert finfet.template("mos").kind == "mos"
     assert finfet.template("scan_core").kind == "native"
